@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,17 +50,22 @@ def _emit_json(obj) -> None:
     print(json.dumps(_round15(obj)))
 
 
+def _open(path: str):
+    """The file at path, or stdin (left open) for "-", as a context manager."""
+    return nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8")
+
+
 def _load_pair(path: str) -> MatrixPair:
-    data = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return MatrixPair.from_json_dict(json.loads(data))
+    with _open(path) as fh:
+        return MatrixPair.from_json_dict(json.loads(fh.read()))
 
 
 def _iter_batch(path: str):
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
-    for line in stream:
-        line = line.strip()
-        if line:
-            yield MatrixPair.from_json_dict(json.loads(line))
+    with _open(path) as stream:
+        for line in stream:
+            line = line.strip()
+            if line:
+                yield MatrixPair.from_json_dict(json.loads(line))
 
 
 def _parse_tuple(text: str) -> FiveTuple:

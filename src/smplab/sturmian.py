@@ -12,6 +12,15 @@ query is a genuine Christoffel word and the bracket always contains the
 unique maximizer.  Any midpoint-concavity violation beyond tolerance
 aborts the run, because it would falsify the co-parallel classification
 of the input (or expose numerical breakdown).
+
+Cost model.  Every descent sample is the mediant l (+) r of two evaluated
+Stern-Brocot neighbours, and Christoffel words factor as
+C(l (+) r) = C(l) C(r), so a sample costs one 2x2 multiply of the two
+stored (renormalized) cycle products.  The audit compares all n(n-1)/2
+sample pairs by exact reduced integer midpoint keys, vectorized in
+blocks of rows so memory stays O(n * block).  Values can differ from the
+letter-by-letter product of ``lyapunov_rational`` in the last bits
+(below 1e-13 relative on the checked pairs); grids and argmax do not.
 """
 
 from __future__ import annotations
@@ -19,9 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
-from .linalg import MatrixPair, scaled_word_product, spectral_radius
+import numpy as np
+
+from .linalg import Mat2, MatrixPair, scaled_word_product, spectral_radius
 from .regions import classify
 from .words import christoffel
 
@@ -139,20 +151,54 @@ def lyapunov_irrational(p: MatrixPair, gamma: float, depth: int) -> IrrationalEs
     return IrrationalEstimate(values[-1], abs(values[-1] - values[-2]), convs[-1])
 
 
+_AUDIT_ROWS = 64  # rows of the pair table held at once in _audit
+
+
 def _audit(samples: dict[Fraction, float],
            tol: float) -> list[tuple[Fraction, Fraction, float]]:
-    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints."""
+    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints.
+
+    Every pair t1 < t2 of sorted slopes is keyed by its exact midpoint
+    (n1*d2 + n2*d1) / (2*d1*d2), reduced with gcd and looked up among the
+    sample keys.  Pairs are scanned in blocks of rows, so memory stays
+    O(n * block); violations come out in (t1, t2) order.
+    """
     gammas = sorted(samples)
+    n = len(gammas)
+    max_den = max((g.denominator for g in gammas), default=1)
+    # 2*d1*d2 must fit in int64; larger denominators use exact Python ints
+    dtype = np.int64 if max_den < 2**31 else object
+    num = np.array([g.numerator for g in gammas], dtype=dtype)
+    den = np.array([g.denominator for g in gammas], dtype=dtype)
+    vals = np.array([samples[g] for g in gammas], dtype=float)
+    base = max_den + 1  # key = num * base + den is unique for den <= max_den
+    keys = num * base + den
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
     violations = []
-    for i, t1 in enumerate(gammas):
-        for t2 in gammas[i + 1:]:
-            mid = (t1 + t2) / 2
-            fmid = samples.get(mid)
-            if fmid is None:
-                continue
-            excess = (samples[t1] + samples[t2]) / 2 - fmid
-            if excess >= tol:
-                violations.append((t1, t2, excess))
+    # a midpoint lies strictly between its ends, so only j >= i + 2 can hit
+    for i0 in range(0, n - 2, _AUDIT_ROWS):
+        rows = np.arange(i0, min(i0 + _AUDIT_ROWS, n - 2))
+        cols = np.arange(i0 + 2, n)
+        n1, d1 = num[rows, None], den[rows, None]
+        n2, d2 = num[cols], den[cols]
+        mid_num = n1 * d2 + n2 * d1
+        mid_den = 2 * d1 * d2
+        g = np.gcd(mid_num, mid_den)
+        mid_num //= g
+        mid_den //= g
+        # only a midpoint with den <= max_den can be a sample; elsewhere the
+        # key product may wrap in int64 and is masked out
+        key = np.where(mid_den <= max_den, mid_num * base + mid_den, -1)
+        pos = np.minimum(np.searchsorted(sorted_keys, key), n - 1)
+        hit = (sorted_keys[pos] == key) & (cols >= rows[:, None] + 2)
+        hi, hj = np.nonzero(hit)
+        i, j = rows[hi], cols[hj]
+        with np.errstate(invalid="ignore"):  # -inf ends on both sides give nan
+            excess = (vals[i] + vals[j]) / 2 - vals[order[pos[hi, hj]]]
+        for k in np.nonzero(excess >= tol)[0]:
+            violations.append((gammas[i[k]], gammas[j[k]], float(excess[k])))
     return violations
 
 
@@ -160,13 +206,18 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
                       audit_tol: float = 1e-10) -> ConcavityReport:
     """Locate the maximizing Sturmian parameter by mediant descent.
 
-    Maintains a bracket (l, m, r) of Stern-Brocot neighbours with the
-    mediant m as the incumbent.  Each step evaluates the two sub-mediants;
-    strict concavity implies the maximizer lies left of m when
-    f(mediant(l, m)) > f(m), right of m symmetrically, and between the
-    sub-mediants otherwise.  Stops once r - l < resolution.  All evaluated
-    samples feed a midpoint-concavity audit; violations beyond
+    Maintains a bracket (l, m, r) with l, m and m, r Stern-Brocot
+    neighbours and m as the incumbent.  Each step evaluates the two
+    sub-mediants; strict concavity implies the maximizer lies left of m
+    when f(mediant(l, m)) > f(m), right of m symmetrically, and between
+    the sub-mediants otherwise.  Stops once r - l < resolution.  All
+    evaluated samples feed a midpoint-concavity audit; violations beyond
     ``audit_tol`` raise ConcavityViolation.
+
+    Every sample is the mediant a (+) b of evaluated neighbours a < b, and
+    the Christoffel factorization C(a (+) b) = C(a) C(b) makes its cycle
+    product P(a) @ P(b): one 2x2 multiply, renormalized as in
+    ``scaled_word_product``.
     """
     flags = classify(p)
     if flags.in_copar is not True:
@@ -174,37 +225,58 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
                          f"copar flag = {flags.in_copar!r}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    resolution = Fraction(resolution)
+    res_num, res_den = resolution.numerator, resolution.denominator
 
-    samples: dict[Fraction, float] = {}
+    # slope (num, den) -> cycle product as (matrix, logscale), and f there
+    products: dict[tuple[int, int], tuple[Mat2, float]] = {}
+    values: dict[tuple[int, int], float] = {}
 
-    def f(g: Fraction) -> float:
-        if g not in samples:
-            samples[g] = lyapunov_rational(p, g.numerator, g.denominator).value
-        return samples[g]
+    def store(g: tuple[int, int], prod: Mat2, logscale: float) -> None:
+        products[g] = (prod, logscale)
+        rho = spectral_radius(prod)
+        values[g] = float("-inf") if rho == 0.0 else (math.log(rho) + logscale) / g[1]
 
-    left = Fraction(0, 1)
-    right = Fraction(1, 1)
-    mid = Fraction(1, 2)
-    for g in (left, right, mid):
-        f(g)
-    while right - left >= resolution:
-        ml = Fraction(left.numerator + mid.numerator, left.denominator + mid.denominator)
-        mr = Fraction(mid.numerator + right.numerator, mid.denominator + right.denominator)
-        if f(ml) > f(mid):
-            left, mid, right = left, ml, mid
-        elif f(mr) > f(mid):
-            left, mid, right = mid, mr, right
+    def sample(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        """Evaluate the mediant of the evaluated neighbours a < b."""
+        g = (a[0] + b[0], a[1] + b[1])
+        if g not in values:
+            (pa, la), (pb, lb) = products[a], products[b]
+            prod, logscale = pa @ pb, la + lb
+            m = prod.max_abs()
+            if m != 0.0 and (m > 1e120 or m < 1e-120):
+                prod = prod * (1.0 / m)
+                logscale += math.log(m)
+            store(g, prod, logscale)
+        return g
+
+    left, right = (0, 1), (1, 1)
+    store(left, p.A, 0.0)
+    store(right, p.B, 0.0)
+    mid = sample(left, right)
+    # right - left >= resolution, cross-multiplied
+    while (right[0] * left[1] - left[0] * right[1]) * res_den >= res_num * left[1] * right[1]:
+        ml = sample(left, mid)
+        if values[ml] > values[mid]:
+            mid, right = ml, mid
+            continue
+        mr = sample(mid, right)
+        if values[mr] > values[mid]:
+            left, mid = mid, mr
         else:
             left, right = ml, mr
 
+    # sorted by slope through exact cross-multiplication, cheaper than Fraction
+    order = sorted(values, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    samples = {Fraction(*g): values[g] for g in order}
     violations = _audit(samples, audit_tol)
     if violations:
         raise ConcavityViolation(violations)
 
     grid = [LyapunovSample(g, val, nilpotent=math.isinf(val))
-            for g, val in sorted(samples.items())]
+            for g, val in samples.items()]
     return ConcavityReport(grid=grid, midpoint_violations=[],
-                           argmax_gamma=mid, max_value=samples[mid])
+                           argmax_gamma=Fraction(*mid), max_value=values[mid])
 
 
 def copar_gap(p: MatrixPair) -> float:

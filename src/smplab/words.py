@@ -130,7 +130,9 @@ def christoffel(p: int, q: int) -> str:
         raise ValueError(f"need 0 <= p <= q and q >= 1, got p={p}, q={q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"slope must be in lowest terms, got {p}/{q}")
-    return mechanical_prefix(Fraction(p, q), 0, "lower", q)
+    # letter i is floor(i*p/q) - floor((i-1)*p/q), in integer floors
+    return "".join("1" if (i * p) // q - ((i - 1) * p) // q else "0"
+                   for i in range(1, q + 1))
 
 
 def christoffel_tree(depth: int) -> list[ChristoffelNode]:

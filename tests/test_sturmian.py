@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import random_pair
+from smplab import sturmian
 from smplab.constructions import realize_from_tuple
 from smplab.linalg import FiveTuple, Mat2, MatrixPair, spectral_radius, word_product
 from smplab.regions import classify
 from smplab.sturmian import (
+    ConcavityViolation,
+    _audit,
     copar_gap,
     lyapunov_irrational,
     lyapunov_rational,
@@ -163,3 +168,131 @@ def test_maximize_sturmian_endpoint_leaning():
                 grid[g] = lyapunov_rational(p, g.numerator, g.denominator).value
     best = max(grid, key=grid.get)
     assert abs(rep.argmax_gamma - best) <= Fraction(1, 128) + Fraction(1, 20)
+
+
+def _reference_descent(p, resolution):
+    """The mediant descent with every sample from lyapunov_rational."""
+    samples = {}
+
+    def f(g):
+        if g not in samples:
+            samples[g] = lyapunov_rational(p, g.numerator, g.denominator).value
+        return samples[g]
+
+    left, mid, right = Fraction(0), Fraction(1, 2), Fraction(1)
+    for g in (left, right, mid):
+        f(g)
+    while right - left >= resolution:
+        ml = Fraction(left.numerator + mid.numerator, left.denominator + mid.denominator)
+        mr = Fraction(mid.numerator + right.numerator, mid.denominator + right.denominator)
+        if f(ml) > f(mid):
+            left, mid, right = left, ml, mid
+        elif f(mr) > f(mid):
+            left, mid, right = mid, mr, right
+        else:
+            left, right = ml, mr
+    return samples, mid
+
+
+def _assert_matches_reference(p, resolution):
+    rep = maximize_sturmian(p, resolution)
+    ref, ref_mid = _reference_descent(p, resolution)
+    assert [s.gamma for s in rep.grid] == sorted(ref)
+    assert rep.argmax_gamma == ref_mid
+    for s in rep.grid:
+        assert s.value == pytest.approx(ref[s.gamma], rel=1e-12)
+    return rep
+
+
+def test_maximize_matches_reference_on_tuple():
+    rep = _assert_matches_reference(COPAR, Fraction(1, 1024))
+    assert len(rep.grid) == 1027
+
+
+def test_maximize_matches_reference_at_endpoints():
+    # rho(A) dominates, so the argmax runs to gamma -> 0; swapping the
+    # letters mirrors it to gamma -> 1, the longest descent (two samples
+    # per step)
+    p = realize_from_tuple(FiveTuple(8, 2.2, 13.0, 1, 1))
+    low = _assert_matches_reference(p, Fraction(1, 256))
+    high = _assert_matches_reference(p.swapped(), Fraction(1, 256))
+    assert low.argmax_gamma == Fraction(1, 258)
+    assert high.argmax_gamma == Fraction(257, 258)
+    assert len(high.grid) == 2 * len(low.grid) - 3
+
+
+def test_maximize_matches_reference_on_random_copar_pairs(rng):
+    for p in _random_copar_pairs(rng, 4):
+        _assert_matches_reference(p, Fraction(1, 256))
+
+
+def _reference_audit(samples, tol):
+    """The audit as a plain double loop over sorted slope pairs."""
+    gammas = sorted(samples)
+    violations = []
+    for i, t1 in enumerate(gammas):
+        for t2 in gammas[i + 1:]:
+            mid = (t1 + t2) / 2
+            fmid = samples.get(mid)
+            if fmid is None:
+                continue
+            excess = (samples[t1] + samples[t2]) / 2 - fmid
+            if excess >= tol:
+                violations.append((t1, t2, excess))
+    return violations
+
+
+def test_audit_matches_reference_by_hand():
+    F = Fraction
+    samples = {
+        F(0): 0.0, F(1): 0.0, F(1, 2): -0.5,      # violation at (0, 1)
+        F(1, 4): -math.inf, F(3, 4): 0.25,        # -inf end: (1/4, 3/4) passes
+        F(1, 8): 0.1, F(3, 8): -math.inf,         # -inf midpoint of (1/8, 5/8)
+        F(5, 8): 0.3, F(7, 8): 0.2,               # (1/2, 3/4) hits 5/8
+        F(1, 3): 0.2, F(2, 3): 0.2,               # midpoints 1/2 and 5/6, 5/6 absent
+        F(5, 12): 0.6,                            # midpoint of (1/3, 1/2)
+    }
+    got = _audit(samples, 1e-10)
+    assert got == _reference_audit(samples, 1e-10)
+    assert (F(0), F(1), 0.5) in got
+    assert (F(1, 8), F(5, 8), math.inf) in got
+    assert _audit(samples, 1.0) == [v for v in got if v[2] >= 1.0]
+    at_tol = _audit(samples, 0.5)  # excess == tol counts as a violation
+    assert at_tol == _reference_audit(samples, 0.5) and (F(0), F(1), 0.5) in at_tol
+    assert _audit({}, 0.0) == [] and _audit({F(1, 3): 1.0}, 0.0) == []
+
+
+def test_audit_matches_reference_on_random_grids():
+    rng = np.random.default_rng(5)
+    farey = sorted({Fraction(a, q) for q in range(1, 40) for a in range(q + 1)})
+    for size in (3, 40, 150):
+        for _ in range(4):
+            picks = rng.choice(len(farey), size=size, replace=False)
+            values = rng.normal(size=size)
+            values[rng.random(size) < 0.05] = -math.inf
+            samples = {farey[k]: float(v) for k, v in zip(picks, values)}
+            for tol in (1e-10, -0.5):
+                assert _audit(samples, tol) == _reference_audit(samples, tol)
+
+
+def test_audit_exact_beyond_int64_denominators():
+    # 2 * d1 * d2 no longer fits in int64, so the keys are Python ints
+    d = 2**40 + 15
+    t1, t2 = Fraction(1, d), Fraction(3, d)
+    samples = {t1: 1.0, t2: 1.0, Fraction(2, d): 0.0,
+               Fraction(1, 2): 0.0, Fraction(2, d) + Fraction(1, 2 * d * d): -1.0}
+    got = _audit(samples, 1e-10)
+    assert got == _reference_audit(samples, 1e-10) == [(t1, t2, 1.0)]
+
+
+def test_maximize_raises_on_non_concave_values(monkeypatch):
+    # f(1/2) = 0 lies below the chord from f(0) = f(1) = log 2; with the
+    # co-parallel precondition forced, the audit must catch it
+    p = MatrixPair(Mat2(2, 0, 0, 0.5), Mat2(0.5, 0, 0, 2))
+    monkeypatch.setattr(sturmian, "classify",
+                        lambda pair: SimpleNamespace(in_copar=True))
+    with pytest.raises(ConcavityViolation) as exc:
+        maximize_sturmian(p, Fraction(1, 16))
+    ref, _ = _reference_descent(p, Fraction(1, 16))
+    assert exc.value.violations == _reference_audit(ref, 1e-10)
+    assert exc.value.violations[0] == (Fraction(0), Fraction(1), math.log(2))

@@ -98,6 +98,25 @@ def test_christoffel_words_are_lyndon():
             assert lyndon_rotation(w) == w
 
 
+def test_christoffel_matches_mechanical_prefix():
+    for q in range(1, 65):
+        for p in range(q + 1):
+            if math.gcd(p, q) == 1:
+                assert christoffel(p, q) == mechanical_prefix(Fraction(p, q), 0, "lower", q)
+
+
+def test_christoffel_factorizes_over_stern_brocot_neighbours():
+    # C(l (+) r) = C(l) C(r) for Stern-Brocot neighbours l < r
+    pairs = [((0, 1), (1, 1))]
+    for _ in range(11):  # depths 0..10
+        nxt = []
+        for l, r in pairs:
+            m = (l[0] + r[0], l[1] + r[1])
+            assert christoffel(*m) == christoffel(*l) + christoffel(*r), (l, r)
+            nxt += [(l, m), (m, r)]
+        pairs = nxt
+
+
 def test_christoffel_tree_layers():
     assert [(n.u, n.v) for n in christoffel_tree(0)] == [("0", "1")]
     depth1 = christoffel_tree(1)
