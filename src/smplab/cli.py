@@ -7,7 +7,11 @@ row-major; "-" reads stdin), words are ASCII 0/1 strings, and analysis
 commands accept --batch with newline-delimited pair JSON.  All output
 goes to stdout (floats printed at 15 significant digits for byte-stable
 reruns), diagnostics to stderr.  Exit codes: 0 success, 1 precondition
-violation, 2 I/O or usage error.
+violation, 2 I/O or usage error.  In a --batch stream a line that is not
+a pair does not stop the run: it prints {"line": n, "error": "..."} in
+place of its result, the other lines are still analysed, and the exit code
+at the end is 2.
+``smplab --version`` prints the version and the scan-kernel backend.
 """
 
 from __future__ import annotations
@@ -60,12 +64,26 @@ def _load_pair(path: str) -> MatrixPair:
         return MatrixPair.from_json_dict(json.loads(fh.read()))
 
 
-def _iter_batch(path: str):
+def _run_batch(path: str, analyse) -> int:
+    """Print analyse(pair) as one JSON line per nonblank --batch line.
+
+    A line that is not a pair prints {"line": n, "error": ...} instead (n
+    counts from 1) and the stream goes on; the return value is then 2,
+    else 0.
+    """
+    code = 0
     with _open(path) as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                yield MatrixPair.from_json_dict(json.loads(line))
+        for n, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                pair = MatrixPair.from_json_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                _emit_json({"line": n, "error": f"malformed pair: {exc!r}"})
+                code = 2
+                continue
+            _emit_json(analyse(pair))
+    return code
 
 
 def _parse_tuple(text: str) -> FiveTuple:
@@ -92,9 +110,7 @@ def _cmd_classify(opts) -> int:
 
     tol = opts["tol"]
     if opts.get("batch"):
-        for pair in _iter_batch(opts["batch"]):
-            _emit_json(classify(pair, tol).to_json_dict())
-        return 0
+        return _run_batch(opts["batch"], lambda pair: classify(pair, tol).to_json_dict())
     if opts.get("tuple") not in (None, True):
         flags = classify_tuple(_parse_tuple(opts["tuple"]), tol)
     elif opts.get("pair"):
@@ -113,9 +129,8 @@ def _cmd_jsr(opts) -> int:
     from .jsr import brute_force
 
     if opts.get("batch"):
-        for pair in _iter_batch(opts["batch"]):
-            _emit_json(brute_force(pair, opts["max_len"], opts["norm"]).to_json_dict())
-        return 0
+        return _run_batch(opts["batch"], lambda pair: brute_force(
+            pair, opts["max_len"], opts["norm"]).to_json_dict())
     report = brute_force(_load_pair(opts["pair"]), opts["max_len"], opts["norm"])
     _emit_json(report.to_json_dict())
     return 0
@@ -125,9 +140,8 @@ def _cmd_smp(opts) -> int:
     from .jsr import certify
 
     if opts.get("batch"):
-        for pair in _iter_batch(opts["batch"]):
-            _emit_json(certify(pair, opts["tol"]).to_json_dict())
-        return 0
+        return _run_batch(opts["batch"],
+                          lambda pair: certify(pair, opts["tol"]).to_json_dict())
     _emit_json(certify(_load_pair(opts["pair"]), opts["tol"]).to_json_dict())
     return 0
 
@@ -284,10 +298,14 @@ def dispatch(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from . import __version__, kernels
+
     top = argparse.ArgumentParser(
         prog="smplab",
         description="Region classification and optimal-product certificates "
                     "for pairs of real 2x2 matrices.")
+    top.add_argument("--version", action="version",
+                     version=f"smplab {__version__} (kernels: {kernels.BACKEND})")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_pair(p, batch=False):

@@ -128,15 +128,16 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
                 tie_tol: float = 1e-9) -> BoundsReport:
     """Scan all cyclic classes (lower) and all products (upper) up to max_len.
 
-    Matrices are pre-scaled by 1/max(|A|_2, |B|_2, 1) to keep products in
-    range; the reported roots are scale-corrected.  ``norm`` is "euclid"
+    Matrices are pre-scaled by 1/max(|A|_2, |B|_2) (by 1 for an all-zero
+    pair), so products keep the same range whatever the pair's scale; the
+    reported roots are scale-corrected.  ``norm`` is "euclid"
     or any homogeneous matrix norm callable (e.g. a polygon gauge); the
     lower bound never depends on the norm.  Best-word ties break to the
     shorter length, then lexicographically.
     """
     if not 1 <= max_len <= MAX_BRUTE_LEN:
         raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
-    s = max(operator_norm_2(p.A), operator_norm_2(p.B), 1.0)
+    s = max(operator_norm_2(p.A), operator_norm_2(p.B)) or 1.0
     a_s = p.A * (1.0 / s)
     b_s = p.B * (1.0 / s)
 
@@ -230,7 +231,7 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     if qm.is_zero():
         raise ValueError("companion matrix is zero")
 
-    s = max(operator_norm_2(pm), operator_norm_2(qm), 1.0)
+    s = max(operator_norm_2(pm), operator_norm_2(qm))  # > 0: both nonzero
     pm_s = pm * (1.0 / s)
     qm_s = qm * (1.0 / s)
     log_nq = math.log(operator_norm_2(qm_s))
@@ -374,8 +375,13 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
                             jsr=value, ties=ties)
 
     if flags.in_mix is True:
-        u = p.A.det()
-        v = p.B.det()
+        # Orient by the determinant signs of the pair scaled up by a power of
+        # two: exact, so no sign changes, and a small pair's determinants do
+        # not underflow to zero.
+        _, exp = math.frexp(max(p.A.max_abs(), p.B.max_abs()))
+        up = math.ldexp(1.0, max(0, -exp))
+        u = (p.A * up).det()
+        v = (p.B * up).det()
         if u > 0.0 > v:
             dirs = ["A_pow_B"]
         elif v > 0.0 > u:

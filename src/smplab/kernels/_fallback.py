@@ -1,8 +1,15 @@
-"""Pure-Python (numpy-vectorized) implementations of the scan kernels.
+"""Numpy implementations of the scan kernels, built on one product tree.
 
-Semantics match smplab.kernels._ext; see the package docstring.  Products
-are batched per word length, so memory grows with the number of Lyndon
-words retained for the tie pass (~100 MB at the max_len = 24 cost guard).
+Semantics match smplab.kernels._ext; the package docstring gives the
+cost model and memory use.  A word of length k is handled as its integer
+code (first letter = most significant bit, ``words.lyndon_codes``), so
+the product of a word of length k is row ``code`` of level k of a tree.
+The cached Lyndon code tables are the only state kept between calls;
+trees live for one call.  Every product is a stacked ``np.matmul`` in
+the same association as the letter-by-letter loop these kernels
+replaced, so results are bit for bit the same: numpy's matmul rounds
+each entry as fma(a12, b21, a11*b11), which plain elementwise arithmetic
+would not reproduce.
 """
 
 from __future__ import annotations
@@ -11,14 +18,27 @@ import math
 
 import numpy as np
 
-from ..words import lyndon_words
+from ..words import lyndon_codes
 
 BACKEND = "python"
 
-# suffix-batch threshold for norm_profile; 2^14 products of 32 bytes each
-_SUFFIX_MAX = 14
+# deepest tree level held whole: 2^14 products of 32 bytes each
+_TREE_DEPTH = 14
 
 _NEG_INF = float("-inf")
+
+
+def _left_tree(a: np.ndarray, b: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Level k holds ((I @ M_w1) @ M_w2) ... @ M_wk at row code(w), k <= depth.
+
+    Level k is level k-1 times A and times B, interleaved so that row
+    2i + c is row i times M_c (M_0 = A, M_1 = B).
+    """
+    levels = [np.eye(2)[None]]
+    for _ in range(depth):
+        prev = levels[-1]
+        levels.append(np.stack([prev @ a, prev @ b], axis=1).reshape(-1, 2, 2))
+    return levels
 
 
 def _rhos(prods: np.ndarray) -> np.ndarray:
@@ -32,55 +52,73 @@ def _rhos(prods: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norms(prods: np.ndarray) -> np.ndarray:
-    t = (prods * prods).sum(axis=(1, 2))
+def _twice_sq_norm_max(prods: np.ndarray) -> float:
+    """max over the batch of t + sqrt(t^2 - 4 d^2) = 2 |P|^2.
+
+    |P| = sqrt(0.5 * that), and sqrt and the halving are monotone, so
+    the batch's largest norm is sqrt(0.5 * this maximum), exactly.  The
+    squares are summed left to right, as ``sum(axis=(1, 2))`` does, at a
+    fifth of its cost.
+    """
+    sq = prods * prods
+    t = sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1]
     d = prods[:, 0, 0] * prods[:, 1, 1] - prods[:, 0, 1] * prods[:, 1, 0]
     disc = np.maximum(t * t - 4.0 * d * d, 0.0)
-    return np.sqrt(0.5 * (t + np.sqrt(disc)))
+    return float((t + np.sqrt(disc)).max())
 
 
-def _batch_products(word_rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = word_rows.shape
-    prods = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-    for i in range(k):
-        is_b = (word_rows[:, i] == 1)[:, None, None]
-        prods = np.where(is_b, prods @ b, prods @ a)
-    return prods
+def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
+               a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rho(P) for the words of length k with these codes, in code order."""
+    if k < len(tree):
+        return _rhos(tree[k][codes])
+    # Look up the first _TREE_DEPTH letters, then multiply the r others in
+    # order.  Sorting the words by their last r letters makes each letter
+    # step 2^j contiguous runs sharing one letter.
+    r = k - _TREE_DEPTH
+    tail = codes & ((1 << r) - 1)
+    order = np.argsort(tail, kind="stable")
+    prods = tree[_TREE_DEPTH][codes[order] >> r]
+    starts = np.searchsorted(tail[order], np.arange((1 << r) + 1))
+    for j in range(r):
+        width = 1 << (r - j - 1)  # tails per run at letter _TREE_DEPTH + j
+        for g in range(1 << (j + 1)):
+            lo, hi = starts[g * width], starts[(g + 1) * width]
+            if lo < hi:
+                prods[lo:hi] = prods[lo:hi] @ (b if g & 1 else a)
+    out = np.empty(len(codes))
+    out[order] = _rhos(prods)
+    return out
 
 
 def scan_classes(a, b, max_len: int, tie_tol: float):
     """See smplab.kernels: per-length class scan over Lyndon words."""
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
-
-    by_len: list[list[str]] = [[] for _ in range(max_len + 1)]
-    for w in lyndon_words(max_len):
-        by_len[len(w)].append(w)
+    tree = _left_tree(a, b, min(max_len, _TREE_DEPTH))
 
     best_root = [math.nan] * (max_len + 1)
     best_word: list[str | None] = [None] * (max_len + 1)
     second_root = [math.nan] * (max_len + 1)
-    kept: list[tuple[int, list[str], np.ndarray]] = []
+    kept: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     for k in range(1, max_len + 1):
-        ws = by_len[k]
-        rows = np.frombuffer("".join(ws).encode("ascii"), dtype=np.uint8)
-        rows = rows.reshape(len(ws), k) - ord("0")
-        roots = _rhos(_batch_products(rows, a, b)) ** (1.0 / k)
+        codes = lyndon_codes(k)
+        roots = _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
         i = int(np.argmax(roots))  # first occurrence = lex-least on ties
         best_root[k] = float(roots[i])
-        best_word[k] = ws[i]
+        best_word[k] = format(int(codes[i]), f"0{k}b")
         if len(roots) >= 2:
             second_root[k] = float(np.partition(roots, -2)[-2])
         else:
             second_root[k] = _NEG_INF
-        kept.append((k, ws, roots))
+        kept.append((k, codes, roots))
 
     gbest = max(best_root[1:])
     ties = []
-    for k, ws, roots in kept:
+    for k, codes, roots in kept:
         for i in np.flatnonzero(roots >= gbest - tie_tol):
-            ties.append((ws[int(i)], float(roots[int(i)])))
+            ties.append((format(int(codes[i]), f"0{k}b"), float(roots[i])))
     return best_root, best_word, second_root, ties
 
 
@@ -89,23 +127,21 @@ def norm_profile(a, b, max_len: int):
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
 
-    out = [math.nan] * (max_len + 1)
-    levels: dict[int, np.ndarray] = {1: np.stack([a, b])}
-    top = min(max_len, _SUFFIX_MAX)
-    for k in range(2, top + 1):
-        prev = levels[k - 1]
-        levels[k] = np.concatenate([a @ prev, b @ prev])
-    for k in range(1, top + 1):
-        out[k] = float(_norms(levels[k]).max()) ** (1.0 / k)
+    # right-associated: level k is [A @ level k-1, B @ level k-1]
+    top = min(max_len, _TREE_DEPTH)
+    levels = [np.stack([a, b])]
+    for _ in range(2, top + 1):
+        prev = levels[-1]
+        levels.append(np.concatenate([a @ prev, b @ prev]))
+    out = [math.nan] + [math.sqrt(0.5 * _twice_sq_norm_max(lv)) ** (1.0 / k)
+                        for k, lv in enumerate(levels, start=1)]
 
-    suffix = levels.get(top)
+    # deeper words: each left-associated prefix times the whole top level
+    suffix = levels[-1]
+    prefixes = _left_tree(a, b, max_len - top)
     for k in range(top + 1, max_len + 1):
-        r = k - top
         mx = 0.0
-        for idx in range(1 << r):
-            prefix = np.eye(2)
-            for shift in range(r - 1, -1, -1):
-                prefix = prefix @ (b if (idx >> shift) & 1 else a)
-            mx = max(mx, float(_norms(prefix @ suffix).max()))
-        out[k] = mx ** (1.0 / k)
+        for prefix in prefixes[k - top]:
+            mx = max(mx, _twice_sq_norm_max(prefix @ suffix))
+        out.append(math.sqrt(0.5 * mx) ** (1.0 / k))
     return out

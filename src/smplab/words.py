@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Union
+
+import numpy as np
 
 __all__ = [
     "WordSignature",
@@ -31,6 +34,7 @@ __all__ = [
     "is_sturmian_word",
     "sturmian_class_words",
     "lyndon_words",
+    "lyndon_codes",
     "words_with_counts",
 ]
 
@@ -209,6 +213,42 @@ def lyndon_words(max_len: int) -> Iterator[str]:
             w.append(w[-m])
         while w and w[-1] == 1:
             w.pop()
+
+
+# candidates tested per block in lyndon_codes: 8 MB of int64 codes
+_CODE_BLOCK = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def lyndon_codes(length: int) -> np.ndarray:
+    """Integer codes of the binary Lyndon words of one length, ascending.
+
+    Letter i of a word is bit ``length - 1 - i`` of its code (the first
+    letter is the most significant bit), so ascending codes are the
+    lexicographic order of ``lyndon_words``.  A word is Lyndon iff it is
+    strictly below each of its proper rotations; for length >= 2 it
+    starts with 0 and ends with 1, which leaves 2^(length-2) candidates,
+    tested in blocks of at most 2^20.  No strings are built.  The result
+    is cached for the life of the process (one int64 array per length,
+    about 2^length/length entries) and is read-only.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if length == 1:
+        found = [np.array([0, 1], dtype=np.int64)]
+    else:
+        mask = (1 << length) - 1
+        found = []
+        for lo in range(0, 1 << (length - 2), _CODE_BLOCK):
+            hi = min(lo + _CODE_BLOCK, 1 << (length - 2))
+            cand = 2 * np.arange(lo, hi, dtype=np.int64) + 1
+            for i in range(1, length):
+                rot = ((cand << i) | (cand >> (length - i))) & mask
+                cand = cand[cand < rot]
+            found.append(cand)
+    codes = np.concatenate(found)
+    codes.setflags(write=False)
+    return codes
 
 
 def words_with_counts(a: int, b: int) -> Iterator[str]:

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from smplab.cli import main
 
@@ -153,3 +156,49 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "classify", "--pair", str(bad))
     assert code == 2
+
+
+def test_batch_bad_line_gets_an_error_record_and_the_stream_goes_on(tmp_path, capsys):
+    good = json.dumps({"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]})
+    f = tmp_path / "pairs.ndjson"
+    f.write_text("\n".join([good, "{not json", "", good, '{"A": [[1, 2]]}']) + "\n")
+    for command in ("classify", "jsr", "smp"):
+        code, out, _ = run_cli(capsys, command, "--batch", str(f))
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 2, command
+        assert len(rows) == 4 and rows[0] == rows[2], command
+        assert rows[1]["line"] == 2 and "malformed" in rows[1]["error"]
+        assert rows[3]["line"] == 5 and "error" in rows[3]
+
+
+def test_version_names_the_kernel_backend(capsys):
+    from smplab import __version__, kernels
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip() == \
+        f"smplab {__version__} (kernels: {kernels.BACKEND})"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["jsr", "--max-len", "12"], "jsr_max_len_12.ndjson"),
+    (["jsr", "--max-len", "18"], "jsr_max_len_18.ndjson"),
+    (["smp"], "smp.ndjson"),
+])
+def test_golden_corpus_stdout_is_byte_identical(capsys, monkeypatch, args, expected):
+    # golden/pairs.ndjson: 14 pairs with max norm >= 1 across the certify
+    # routes; the expected files were printed by the letter-by-letter numpy
+    # kernels that the product-tree kernels replaced.  The compiled kernels
+    # round differently in the last bit, so the numpy ones are pinned.
+    from smplab import kernels
+    from smplab.kernels import _fallback
+
+    monkeypatch.setattr(kernels, "scan_classes", _fallback.scan_classes)
+    monkeypatch.setattr(kernels, "norm_profile", _fallback.norm_profile)
+    code, out, _ = run_cli(capsys, *args, "--batch", str(GOLDEN / "pairs.ndjson"))
+    assert code == 0
+    assert out == (GOLDEN / expected).read_text()

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair
 from smplab.constructions import (
@@ -258,3 +259,50 @@ def test_brute_force_deeper_scan_smoke():
     assert br.best_word == "01"
     assert br.lower <= br.upper + 1e-12
     assert br.upper < brute_force(p, 10).upper + 1e-12  # bounds tighten
+
+
+def _scaled(c):
+    """A mixed-determinant pair whose bounds once broke below unit norm."""
+    return MatrixPair(Mat2(1 * c, 2 * c, 3 * c, -1 * c), Mat2(2 * c, 0, 1 * c, 1 * c))
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-200])
+def test_small_pairs_keep_their_bounds(c):
+    # brute force once scaled only down, so at c = 1e-20 its norms
+    # underflowed (upper = 0 < lower) and at 1e-200 its lower bound too
+    ref = brute_force(_scaled(1.0), 10)
+    br = brute_force(_scaled(c), 10)
+    assert br.lower <= br.upper
+    assert br.lower / c == pytest.approx(ref.lower, rel=1e-12)
+    assert br.upper / c == pytest.approx(ref.upper, rel=1e-12)
+    assert br.lower / c == pytest.approx(math.sqrt(7.0), rel=1e-12)
+    assert br.best_word == ref.best_word
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-200, 1e200])
+def test_small_pairs_keep_their_certificate(c):
+    # at 1e-200 the determinants underflowed to 0, which sent the mixed
+    # route into the non-terminating direction as well
+    ref = certify(_scaled(1.0))
+    cand = certify(_scaled(c))
+    assert cand.certificate == ref.certificate == "mixed-determinants-power-scan"
+    assert cand.certified and cand.word == ref.word
+    assert cand.value / c == pytest.approx(ref.value, rel=1e-12)
+    scan = gelfand_scan(_scaled(c), "B_pow_A")
+    assert scan.terminated and scan.value / c == pytest.approx(math.sqrt(7.0), rel=1e-12)
+
+
+_SCALE_PAIRS = [_scaled(1.0), DIAG_ONES, MatrixPair(Mat2(1, 2, 3, 4), Mat2(0, 1, -1, 0)),
+                MatrixPair(Mat2(0.3, -1.2, 0.8, 0.5), Mat2(-0.7, 0.1, 1.9, 0.4))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(_SCALE_PAIRS), k=st.integers(-150, 150),
+       max_len=st.integers(1, 10))
+def test_brute_force_bounds_are_scale_covariant(pair, k, max_len):
+    c = 10.0 ** k
+    ref = brute_force(pair, max_len)
+    br = brute_force(MatrixPair(pair.A * c, pair.B * c), max_len)
+    assert br.lower <= br.upper
+    assert br.lower / c == pytest.approx(ref.lower, rel=1e-12)
+    assert br.upper / c == pytest.approx(ref.upper, rel=1e-12)

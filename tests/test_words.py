@@ -9,6 +9,7 @@ from smplab.words import (
     cyclic_rotations,
     is_primitive,
     is_sturmian_word,
+    lyndon_codes,
     lyndon_rotation,
     lyndon_words,
     mechanical_prefix,
@@ -158,6 +159,18 @@ def test_sturmian_class_words():
     assert set(sturmian_class_words(1, 2)) == set(cyclic_rotations("011"))
     with pytest.raises(ValueError):
         sturmian_class_words(2, 4)
+
+
+def test_lyndon_codes_are_lyndon_words_in_order():
+    by_len: dict[int, list[str]] = {}
+    for w in lyndon_words(20):
+        by_len.setdefault(len(w), []).append(w)
+    for k in range(1, 21):
+        codes = lyndon_codes(k)
+        assert [format(int(c), f"0{k}b") for c in codes] == by_len[k]
+        assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        lyndon_codes(0)
 
 
 def test_lyndon_words_enumeration():
