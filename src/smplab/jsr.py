@@ -138,8 +138,8 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
     if not 1 <= max_len <= MAX_BRUTE_LEN:
         raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
     s = max(operator_norm_2(p.A), operator_norm_2(p.B)) or 1.0
-    a_s = p.A * (1.0 / s)
-    b_s = p.B * (1.0 / s)
+    a_s = p.A.divided_by(s)
+    b_s = p.B.divided_by(s)
 
     best_root, best_word, second_root, ties_raw = kernels.scan_classes(
         a_s.entries(), b_s.entries(), max_len, tie_tol / s)
@@ -232,8 +232,8 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
         raise ValueError("companion matrix is zero")
 
     s = max(operator_norm_2(pm), operator_norm_2(qm))  # > 0: both nonzero
-    pm_s = pm * (1.0 / s)
-    qm_s = qm * (1.0 / s)
+    pm_s = pm.divided_by(s)
+    qm_s = qm.divided_by(s)
     log_nq = math.log(operator_norm_2(qm_s))
 
     best = spectral_radius(pm_s)  # the pure-power member of the supremum
@@ -269,7 +269,7 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
             n += 1
             break
         if m_abs > 1e120 or m_abs < 1e-120:
-            cur = cur * (1.0 / m_abs)
+            cur = cur.divided_by(m_abs)
             cur_log += math.log(m_abs)
         n += 1
         log_norms.append(math.log(operator_norm_2(cur)) + cur_log)
@@ -379,9 +379,8 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
         # two: exact, so no sign changes, and a small pair's determinants do
         # not underflow to zero.
         _, exp = math.frexp(max(p.A.max_abs(), p.B.max_abs()))
-        up = math.ldexp(1.0, max(0, -exp))
-        u = (p.A * up).det()
-        v = (p.B * up).det()
+        u = p.A.ldexp(max(0, -exp)).det()
+        v = p.B.ldexp(max(0, -exp)).det()
         if u > 0.0 > v:
             dirs = ["A_pow_B"]
         elif v > 0.0 > u:

@@ -1,15 +1,50 @@
-"""Numpy implementations of the scan kernels, built on one product tree.
+"""Product-scan kernels: numpy, built on one product tree.
 
-Semantics match smplab.kernels._ext; the package docstring gives the
-cost model and memory use.  A word of length k is handled as its integer
-code (first letter = most significant bit, ``words.lyndon_codes``), so
-the product of a word of length k is row ``code`` of level k of a tree.
-The cached Lyndon code tables are the only state kept between calls;
-trees live for one call.  Every product is a stacked ``np.matmul`` in
-the same association as the letter-by-letter loop these kernels
-replaced, so results are bit for bit the same: numpy's matmul rounds
-each entry as fma(a12, b21, a11*b11), which plain elementwise arithmetic
-would not reproduce.
+Two functions do the heavy lifting of the brute-force bounds:
+
+``scan_classes(a, b, max_len, tie_tol)``
+    Per-length best (and second-best) spectral-radius roots over one
+    Lyndon representative per primitive cyclic class, plus every word
+    whose root lies within ``tie_tol`` of the global best.
+
+``norm_profile(a, b, max_len)``
+    Per-length maximum of the Euclidean operator norm over all 2^k
+    products, reported as k-th roots.
+
+Matrices are passed as flat (a11, a12, a21, a22) tuples known to be
+pre-scaled by the caller.  Callers look both functions up on this module
+at call time (``kernels.scan_classes``), so a wrapper set here sees every
+call.
+
+A word of length k is handled as its integer code (first letter = most
+significant bit, ``words.lyndon_codes``), so the product of a word of
+length k is row ``code`` of level k of a tree.  Every product is a
+stacked ``np.matmul`` in the same association as the letter-by-letter
+loop these kernels replaced, so results are bit for bit the same:
+numpy's matmul rounds each entry as fma(a12, b21, a11*b11), which plain
+elementwise arithmetic would not reproduce.
+
+Cost, in 2x2 products for L = max_len and T = min(L, 14):
+
+- ``scan_classes`` builds one left-associated product tree of the
+  2^(T+1) - 2 words up to length T and reads each Lyndon word's product
+  from it; a Lyndon word of length k > 14 reads its 14-letter prefix and
+  takes k - 14 more products.  Lyndon words come from
+  ``words.lyndon_codes``, integer tables cached per length for the life
+  of the process: about 2^k/k int64 codes for length k, 0.2 MB up to
+  L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.  Only
+  the best word, the runner-up and the ties become strings.
+- ``norm_profile`` builds the right-associated tree of the same size
+  and, for each k > 14, multiplies each of the 2^(k-14) prefixes (read
+  from a left tree) into level 14, in blocks of 2^14 products.
+
+Nothing but the Lyndon tables outlives a call.  Up to L = 18 no array
+holds more than 2^14 products; on a 2-CPU host a call at L = 18
+takes about 15 ms (``scan_classes``) and 35-50 ms (``norm_profile``)
+and raises peak memory by about 5 MB.  At L = 24, ``scan_classes``
+holds the 698 870 products of the longest Lyndon words at once (22 MB),
+and the two kernels raise peak memory by about 100 MB and take about
+1 s and 3 s.
 """
 
 from __future__ import annotations
@@ -18,8 +53,11 @@ import math
 
 import numpy as np
 
-from ..words import lyndon_codes
+from .words import lyndon_codes
 
+__all__ = ["BACKEND", "scan_classes", "norm_profile"]
+
+# the one implementation; ``smplab --version`` and bench reports name it
 BACKEND = "python"
 
 # deepest tree level held whole: 2^14 products of 32 bytes each
@@ -92,7 +130,7 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
 
 
 def scan_classes(a, b, max_len: int, tie_tol: float):
-    """See smplab.kernels: per-length class scan over Lyndon words."""
+    """Per-length class scan over Lyndon words (see the module docstring)."""
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
     tree = _left_tree(a, b, min(max_len, _TREE_DEPTH))
@@ -123,7 +161,7 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
 
 
 def norm_profile(a, b, max_len: int):
-    """See smplab.kernels: per-length max operator norm over all products."""
+    """Per-length max operator norm over all products (see the module docstring)."""
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
 

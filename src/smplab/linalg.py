@@ -37,6 +37,7 @@ __all__ = [
     "operator_norm_2",
     "five_tuple",
     "word_product",
+    "scaled_letter",
     "scaled_word_product",
     "commutator_matrix",
     "commutator_invariant",
@@ -129,6 +130,22 @@ class Mat2:
 
     __rmul__ = __mul__
 
+    def ldexp(self, k: int) -> "Mat2":
+        """Every entry times 2^k, exact while the results stay in range."""
+        return Mat2(*(math.ldexp(x, k) for x in self.entries()))
+
+    def divided_by(self, s: float) -> "Mat2":
+        """``self * (1/s)`` for s > 0 bounding the entries, at any scale.
+
+        Below about 5.6e-309 the reciprocal overflows; then the entries
+        and s are first brought up by the same exact power of two.
+        """
+        r = 1.0 / s
+        if r != math.inf:
+            return self * r
+        f, e = math.frexp(s)
+        return self.ldexp(-e) * (1.0 / f)
+
 
 @dataclass(frozen=True, slots=True)
 class MatrixPair:
@@ -203,7 +220,7 @@ def spectrum(m: Mat2, repeated_tol: float = 1e-12) -> Spectrum:
     scale = m.max_abs()
     if scale > 1e100 or 0.0 < scale < 1e-100:
         # keep tr^2 and det within range; eigenvalues scale linearly
-        inner = spectrum(m * (1.0 / scale), repeated_tol)
+        inner = spectrum(m.divided_by(scale), repeated_tol)
         eigs = None if inner.eigenvalues is None else (
             inner.eigenvalues[0] * scale, inner.eigenvalues[1] * scale)
         return Spectrum(inner.kind, inner.rho * scale, eigs)
@@ -225,7 +242,7 @@ def spectral_radius(m: Mat2) -> float:
     """Spectral radius of a 2x2 matrix without building a Spectrum object."""
     scale = m.max_abs()
     if scale > 1e100 or 0.0 < scale < 1e-100:
-        return scale * spectral_radius(m * (1.0 / scale))
+        return scale * spectral_radius(m.divided_by(scale))
     t = m.trace()
     d = m.det()
     disc = t * t - 4.0 * d
@@ -242,7 +259,7 @@ def operator_norm_2(m: Mat2) -> float:
     """
     scale = m.max_abs()
     if scale > 1e75 or 0.0 < scale < 1e-75:  # t*t below would overflow
-        return scale * operator_norm_2(m * (1.0 / scale))
+        return scale * operator_norm_2(m.divided_by(scale))
     t = m.a11 * m.a11 + m.a12 * m.a12 + m.a21 * m.a21 + m.a22 * m.a22
     d = m.det()
     disc = t * t - 4.0 * d * d
@@ -271,23 +288,40 @@ def word_product(p: MatrixPair, word: str) -> Mat2:
     return out
 
 
+def scaled_letter(m: Mat2) -> tuple[Mat2, float]:
+    """``(M, logscale)`` with ``m = exp(logscale) * M``, ready to multiply.
+
+    A matrix whose largest entry lies outside [2^-511, 2^511], where the
+    product of two such matrices could leave the normal doubles, is
+    divided by that entry; any other matrix is returned as it is.
+    """
+    scale = m.max_abs()
+    if scale == 0.0 or 2.0 ** -511 <= scale <= 2.0 ** 511:
+        return m, 0.0
+    return m.divided_by(scale), math.log(scale)
+
+
 def scaled_word_product(p: MatrixPair, word: str) -> tuple[Mat2, float]:
     """Word product with running renormalization.
 
     Returns ``(P, logscale)`` such that the true product equals
     ``exp(logscale) * P``.  Long words (Christoffel cycles of large
     denominator) overflow or underflow doubles; this keeps the running
-    product's largest entry within [1e-120, 1e120].
+    product's largest entry within [1e-120, 1e120], starting from the
+    letters of ``scaled_letter``.
     """
     if not word:
         raise ValueError("empty word has no product")
-    out = p.letter(word[0])
-    logscale = 0.0
+    (a, log_a), (b, log_b) = scaled_letter(p.A), scaled_letter(p.B)
+    q, letter_log = MatrixPair(a, b), {"0": log_a, "1": log_b}
+    out = q.letter(word[0])
+    logscale = letter_log[word[0]]
     for ch in word[1:]:
-        out = out @ p.letter(ch)
+        out = out @ q.letter(ch)
+        logscale += letter_log[ch]
         m = out.max_abs()
         if m != 0.0 and (m > 1e120 or m < 1e-120):
-            out = out * (1.0 / m)
+            out = out.divided_by(m)
             logscale += math.log(m)
     return out, logscale
 
@@ -370,7 +404,7 @@ def is_reducible(p: MatrixPair, tol: float = 1e-9) -> ReducibilityReport:
     if na == 0.0 or nb == 0.0:
         return ReducibilityReport(Reducibility.REDUCIBLE, 0.0)
     margin = commutator_matrix(
-        MatrixPair(p.A * (1.0 / na), p.B * (1.0 / nb))).det()
+        MatrixPair(p.A.divided_by(na), p.B.divided_by(nb))).det()
     if margin == 0.0:
         return ReducibilityReport(Reducibility.REDUCIBLE, 0.0)
     if abs(margin) <= tol:

@@ -183,7 +183,7 @@ def classify(p: MatrixPair, tol: float = 1e-9) -> RegionFlags:
         # a zero matrix commutes with everything
         return _flags_from_signs(0, None, None, None, None, None, None, None,
                                  {"commutator": 0.0})
-    pn = MatrixPair(p.A * (1.0 / na), p.B * (1.0 / nb))
+    pn = MatrixPair(p.A.divided_by(na), p.B.divided_by(nb))
     x, y, z, u, v = five_tuple(pn)
 
     m = {

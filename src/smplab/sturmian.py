@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Mat2, MatrixPair, scaled_word_product, spectral_radius
+from .linalg import (Mat2, MatrixPair, scaled_letter, scaled_word_product,
+                     spectral_radius)
 from .regions import classify
 from .words import christoffel
 
@@ -245,14 +246,14 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
             prod, logscale = pa @ pb, la + lb
             m = prod.max_abs()
             if m != 0.0 and (m > 1e120 or m < 1e-120):
-                prod = prod * (1.0 / m)
+                prod = prod.divided_by(m)
                 logscale += math.log(m)
             store(g, prod, logscale)
         return g
 
     left, right = (0, 1), (1, 1)
-    store(left, p.A, 0.0)
-    store(right, p.B, 0.0)
+    store(left, *scaled_letter(p.A))
+    store(right, *scaled_letter(p.B))
     mid = sample(left, right)
     # right - left >= resolution, cross-multiplied
     while (right[0] * left[1] - left[0] * right[1]) * res_den >= res_num * left[1] * right[1]:

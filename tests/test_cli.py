@@ -189,16 +189,10 @@ GOLDEN = Path(__file__).parent / "golden"
     (["jsr", "--max-len", "18"], "jsr_max_len_18.ndjson"),
     (["smp"], "smp.ndjson"),
 ])
-def test_golden_corpus_stdout_is_byte_identical(capsys, monkeypatch, args, expected):
+def test_golden_corpus_stdout_is_byte_identical(capsys, args, expected):
     # golden/pairs.ndjson: 14 pairs with max norm >= 1 across the certify
     # routes; the expected files were printed by the letter-by-letter numpy
-    # kernels that the product-tree kernels replaced.  The compiled kernels
-    # round differently in the last bit, so the numpy ones are pinned.
-    from smplab import kernels
-    from smplab.kernels import _fallback
-
-    monkeypatch.setattr(kernels, "scan_classes", _fallback.scan_classes)
-    monkeypatch.setattr(kernels, "norm_profile", _fallback.norm_profile)
+    # kernels that the product-tree kernels replaced.
     code, out, _ = run_cli(capsys, *args, "--batch", str(GOLDEN / "pairs.ndjson"))
     assert code == 0
     assert out == (GOLDEN / expected).read_text()

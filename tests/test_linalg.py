@@ -202,3 +202,6 @@ def test_extreme_scale_robustness():
     assert sp.kind is SpectrumKind.REAL_DISTINCT
     assert sp.eigenvalues == pytest.approx((2e200, 0.5e200), rel=1e-12)
     assert is_reducible(big).verdict is Reducibility.IRREDUCIBLE
+    tiny = Mat2(2e-310, 0, 0, 0.5e-310)  # 1/2e-310 overflows to inf
+    assert spectral_radius(tiny) == pytest.approx(2e-310, rel=1e-9)
+    assert operator_norm_2(tiny) == pytest.approx(2e-310, rel=1e-9)

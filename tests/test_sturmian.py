@@ -61,6 +61,20 @@ def test_lyapunov_long_cycle_no_overflow():
     assert val == pytest.approx(math.log(spectral_radius(COPAR.A)), abs=0.05)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-310, 1e200])
+def test_values_shift_by_log_scale(c):
+    # scaling both letters by c adds log c to every value; at 1e-200 the
+    # product of two letters underflowed, so the descent raised
+    # ConcavityViolation, and at 1e-310 the letters are subnormal
+    tiny = MatrixPair(COPAR.A * c, COPAR.B * c)
+    assert lyapunov_rational(tiny, 2, 5).value - math.log(c) == \
+        pytest.approx(lyapunov_rational(COPAR, 2, 5).value, rel=1e-9)
+    ref = maximize_sturmian(COPAR, Fraction(1, 64))
+    rep = maximize_sturmian(tiny, Fraction(1, 64))
+    assert rep.argmax_gamma == ref.argmax_gamma
+    assert rep.max_value - math.log(c) == pytest.approx(ref.max_value, rel=1e-9)
+
+
 def test_irrational_rational_input_matches():
     est = lyapunov_irrational(COPAR, 0.5, 8)
     assert est.value == lyapunov_rational(COPAR, 1, 2).value
