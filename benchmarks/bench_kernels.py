@@ -1,4 +1,4 @@
-"""Time the numpy scan kernels, cold and warm.
+"""Time the numpy scan kernels, cold and warm, and region classification.
 
 Usage: python benchmarks/bench_kernels.py [--max-len 18] [--repeats 3]
 
@@ -7,6 +7,9 @@ product-tree norm maxima) on a fixed random pair at several lengths and
 prints a table.  "cold" is the first call at each length, which also
 builds the cached Lyndon code table (``words.lyndon_codes``) for the
 lengths that table lacks; "warm" is the best of --repeats further calls.
+The last line times the classify layer on 10^4 seeded N(0,1) pairs: the
+scalar ``regions.classify`` per pair (Mat2 building included) against
+``regions.classify_arrays`` per row, best of --repeats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import time
 
 import numpy as np
 
-from smplab import kernels
+from smplab import kernels, regions
+from smplab.linalg import Mat2, MatrixPair
 
 
 def _once(fn) -> float:
@@ -47,6 +51,15 @@ def main() -> None:
             t_cold = _once(lambda: fn(ln))
             t_warm = min(_once(lambda: fn(ln)) for _ in range(args.repeats))
             print(f"{name:<14} {ln:>3} {t_cold:>9.4f}s {t_warm:>9.4f}s")
+
+    rows = np.random.default_rng(0).standard_normal((10_000, 8))
+    t_scalar = min(_once(lambda: [regions.classify(MatrixPair(Mat2(*r[:4]), Mat2(*r[4:])))
+                                  for r in rows.tolist()])
+                   for _ in range(args.repeats))
+    t_arrays = min(_once(lambda: regions.classify_arrays(rows)) for _ in range(args.repeats))
+    n = len(rows)
+    print(f"{'classify':<14} n={n}: scalar {t_scalar / n * 1e6:.2f} us/pair, "
+          f"arrays {t_arrays / n * 1e6:.3f} us/row ({t_scalar / t_arrays:.0f}x)")
 
 
 if __name__ == "__main__":

@@ -37,8 +37,10 @@ from .fricke import Poly5, evaluate, fricke_poly, monomial_at_uv0
 from .regions import (
     AxisConfig,
     AxisKind,
+    RegionArrays,
     RegionFlags,
     classify,
+    classify_arrays,
     classify_tuple,
     geometric_oracle,
     monte_carlo_regions,
@@ -71,7 +73,8 @@ __all__ = [
     "is_primitive", "lyndon_rotation", "signature", "mechanical_prefix",
     "christoffel", "christoffel_tree", "is_sturmian_word", "sturmian_class_words",
     "Poly5", "fricke_poly", "evaluate", "monomial_at_uv0",
-    "RegionFlags", "AxisConfig", "AxisKind", "classify", "classify_tuple",
+    "RegionFlags", "RegionArrays", "AxisConfig", "AxisKind", "classify",
+    "classify_arrays", "classify_tuple",
     "geometric_oracle", "monte_carlo_regions",
     "BoundsReport", "SmpCandidate", "brute_force", "gelfand_scan", "certify",
     "ConcavityReport", "lyapunov_rational", "lyapunov_irrational",

@@ -372,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dist", default="normal", choices=["normal", "uniform01"])
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: SMPLAB_THREADS or 1)")
+                   help="accepted and ignored: blocks are classified as numpy "
+                        "arrays, one after another (default: SMPLAB_THREADS or 1)")
 
     p = sub.add_parser("reproduce", help="run the acceptance criteria")
     p.add_argument("--seed", type=int, default=0)

@@ -196,3 +196,14 @@ def test_golden_corpus_stdout_is_byte_identical(capsys, args, expected):
     code, out, _ = run_cli(capsys, *args, "--batch", str(GOLDEN / "pairs.ndjson"))
     assert code == 0
     assert out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("dist", ["normal", "uniform01"])
+def test_montecarlo_csv_is_byte_identical_to_the_per_pair_classifier(capsys, seed, dist):
+    # golden/montecarlo_*.csv were printed by the per-pair scalar classify
+    # loop that classify_arrays replaced
+    code, out, _ = run_cli(capsys, "montecarlo", "--seed", str(seed),
+                           "--samples", "100000", "--dist", dist)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"montecarlo_seed{seed}_{dist}.csv").read_bytes()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_pair
@@ -8,6 +9,7 @@ from smplab.linalg import FiveTuple, Mat2, MatrixPair, five_tuple, spectral_radi
 from smplab.regions import (
     AxisKind,
     classify,
+    classify_arrays,
     classify_tuple,
     geometric_oracle,
     monte_carlo_regions,
@@ -181,3 +183,66 @@ def test_classify_invariant_at_extreme_scales():
         assert getattr(huge, attr) == getattr(base, attr), attr
     for key, val in base.margins.items():
         assert huge.margins[key] == pytest.approx(val, rel=1e-9, abs=1e-12)
+
+
+FLAGS = ("in_cross", "in_mix", "in_neg", "in_copar", "in_anti", "in_complex", "reducible")
+TRI = {True: 1, False: 0, None: -1}
+
+
+def assert_matches_scalar(entries, tol=1e-9):
+    """classify_arrays equals classify row by row: flags exactly, margins
+    with ==, and NaN where classify reports no margin (a zero matrix)."""
+    got = classify_arrays(entries, tol)
+    ref = [classify(MatrixPair(Mat2(*r[:4]), Mat2(*r[4:])), tol) for r in entries.tolist()]
+    for attr in FLAGS:
+        assert np.array_equal(getattr(got, attr), [TRI[getattr(f, attr)] for f in ref]), attr
+    assert np.array_equal(got.in_union4, [f.in_union4 for f in ref])
+    assert np.array_equal(got.indeterminate, [f.indeterminate for f in ref])
+    for key, margin in got.margins.items():
+        want = [f.margins.get(key, math.nan) for f in ref]
+        assert np.array_equal(margin, want, equal_nan=True), key
+    return got
+
+
+def test_classify_arrays_matches_classify_on_seeded_rows():
+    # 3 * 10^4 rows keep the scalar reference near 1.5 s; the golden
+    # montecarlo CSVs in test_cli pin the tallies of 8 * 10^5 more rows
+    rng = np.random.default_rng(20240611)
+    rows = np.concatenate([
+        rng.standard_normal((15_000, 8)),
+        rng.random((12_000, 8)),
+        rng.integers(-2, 3, (3_000, 8)).astype(float),  # exact zeros and ties
+    ])
+    assert_matches_scalar(rows)
+
+
+def test_classify_arrays_matches_classify_on_edge_rows():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 8))
+    rows = [
+        [0, 0, 0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 0, 0, 0, 0], [0] * 8,  # zero matrices
+        [2, 0, 0, 0.5, 1, 0, 0, -3], [-1, 0, 0, 4, 0, 0, 0, 2],     # diagonal pairs
+        [1, 2, 2, 4, 1, 1, 1, 1], [1, 2, 3, 4, 3, 6, 1, 2],         # det(A) or det(B) = 0
+        [2, 0, 0, 1, 1, 1e-6, 1e-6, 1],                             # commutator inside tol
+        [1, 0, 0, 1e-10, 0, 1, 1, 0],                               # det(A) inside tol
+        [1, 1e-5, 0, 1, 1, 0, 1, 2],                                # disc(A) inside tol
+        *a, *(a * 1e-300), *(a * 1e-310), *(a * 1e200),
+        [*a[0, :4] * 1e-310, *a[0, 4:] * 1e200],
+    ]
+    got = assert_matches_scalar(np.array(rows, dtype=float))
+    assert list(got.reducible[:5]) == [1] * 5
+    assert list(got.in_mix[5:7]) == [1, 1]
+    assert list(got.reducible[7:8]) == [-1] and got.indeterminate[7:10].all()
+
+
+def test_classify_arrays_input_checks():
+    empty = classify_arrays(np.empty((0, 8)))
+    assert empty.in_cross.shape == (0,) and empty.margins["commutator"].shape == (0,)
+    for bad_shape in (np.zeros((3, 7)), np.zeros(8), np.zeros((2, 2, 8))):
+        with pytest.raises(ValueError):
+            classify_arrays(bad_shape)
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = np.ones((3, 8))
+        rows[1, 5] = bad
+        with pytest.raises(ValueError):
+            classify_arrays(rows)
