@@ -3,10 +3,13 @@
 Usage: python benchmarks/bench_kernels.py [--max-len 18] [--repeats 3]
 
 Times scan_classes (necklace spectral scan) and norm_profile (full
-product-tree norm maxima) on a fixed random pair at several lengths and
-prints a table.  "cold" is the first call at each length, which also
-builds the cached Lyndon code table (``words.lyndon_codes``) for the
-lengths that table lacks; "warm" is the best of --repeats further calls.
+product-tree norm maxima) at several lengths and prints a table, for two
+pairs: a fixed random pair (the typical case, where pruning skips most
+products longer than 14 letters) and an orthogonal pair (the worst case:
+every product has norm 1 and every class ties, so nothing is pruned).
+"cold" is the first call at each length, which also builds the cached
+Lyndon code table (``words.lyndon_codes``) for the lengths that table
+lacks; "warm" is the best of --repeats further calls.
 The last line times the classify layer on 10^4 seeded N(0,1) pairs: the
 scalar ``regions.classify`` per pair (Mat2 building included) against
 ``regions.classify_arrays`` per row, best of --repeats.
@@ -15,6 +18,7 @@ scalar ``regions.classify`` per pair (Mat2 building included) against
 from __future__ import annotations
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -38,19 +42,23 @@ def main() -> None:
     rng = np.random.default_rng(0)
     e = rng.standard_normal(8)
     scale = 1.0 / max(1.0, float(np.abs(e).max()) * 2.0)
-    a = tuple(scale * x for x in e[:4])
-    b = tuple(scale * x for x in e[4:])
+    c, s = math.cos(0.7), math.sin(0.7)
+    pairs = {
+        "fixed": (tuple(scale * x for x in e[:4]), tuple(scale * x for x in e[4:])),
+        "orthogonal": ((c, -s, s, c), (0.0, 1.0, -1.0, 0.0)),
+    }
 
     lengths = [ln for ln in (10, 14, 16, 18, 20, 22) if ln <= args.max_len]
-    print(f"{'kernel':<14} {'L':>3} {'cold':>10} {'warm':>10}")
-    for name, fn in (
-        ("scan_classes", lambda ln: kernels.scan_classes(a, b, ln, 1e-9)),
-        ("norm_profile", lambda ln: kernels.norm_profile(a, b, ln)),
-    ):
-        for ln in lengths:
-            t_cold = _once(lambda: fn(ln))
-            t_warm = min(_once(lambda: fn(ln)) for _ in range(args.repeats))
-            print(f"{name:<14} {ln:>3} {t_cold:>9.4f}s {t_warm:>9.4f}s")
+    print(f"{'kernel':<14} {'pair':<10} {'L':>3} {'cold':>10} {'warm':>10}")
+    for pair, (a, b) in pairs.items():
+        for name, fn in (
+            ("scan_classes", lambda ln: kernels.scan_classes(a, b, ln, 1e-9)),
+            ("norm_profile", lambda ln: kernels.norm_profile(a, b, ln)),
+        ):
+            for ln in lengths:
+                t_cold = _once(lambda: fn(ln))
+                t_warm = min(_once(lambda: fn(ln)) for _ in range(args.repeats))
+                print(f"{name:<14} {pair:<10} {ln:>3} {t_cold:>9.4f}s {t_warm:>9.4f}s")
 
     rows = np.random.default_rng(0).standard_normal((10_000, 8))
     t_scalar = min(_once(lambda: [regions.classify(MatrixPair(Mat2(*r[:4]), Mat2(*r[4:])))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -95,12 +94,6 @@ def _parse_tuple(text: str) -> FiveTuple:
 
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
-
-
-def _threads(opts) -> int:
-    if opts.get("threads"):
-        return int(opts["threads"])
-    return int(os.environ.get("SMPLAB_THREADS", "1"))
 
 
 # ------------------------------------------------------------------ commands
@@ -239,8 +232,7 @@ def _cmd_symmetrize(opts) -> int:
 def _cmd_montecarlo(opts) -> int:
     from .regions import monte_carlo_regions
 
-    counts = monte_carlo_regions(opts["seed"], opts["samples"], opts["dist"],
-                                 threads=_threads(opts))
+    counts = monte_carlo_regions(opts["seed"], opts["samples"], opts["dist"])
     print("region,count")
     for key, value in counts.items():
         print(f"{key},{value}")
@@ -371,9 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dist", default="normal", choices=["normal", "uniform01"])
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: blocks are classified as numpy "
-                        "arrays, one after another (default: SMPLAB_THREADS or 1)")
 
     p = sub.add_parser("reproduce", help="run the acceptance criteria")
     p.add_argument("--seed", type=int, default=0)

@@ -553,6 +553,8 @@ def monte_carlo_regions(seed: int, n: int, distribution: str = "normal",
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     if distribution not in _DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, "
                          f"expected one of {_DISTRIBUTIONS}")

@@ -139,6 +139,16 @@ def test_montecarlo_deterministic(capsys):
     assert out1.splitlines()[0] == "region,count"
 
 
+def test_montecarlo_ignores_smplab_threads(capsys, monkeypatch):
+    # the thread knobs are gone: a value int() cannot parse used to exit 1
+    args = ("montecarlo", "--samples", "10")
+    plain = run_cli(capsys, *args)
+    monkeypatch.setenv("SMPLAB_THREADS", "abc")
+    code, out, _ = run_cli(capsys, *args)
+    assert (code, out) == plain[:2]
+    assert code == 0
+
+
 def test_reproduce_list(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--list")
     assert code == 0

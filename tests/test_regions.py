@@ -169,6 +169,12 @@ def test_monte_carlo_rejects_unknown_distribution():
         monte_carlo_regions(0, 10, "cauchy")
 
 
+@pytest.mark.parametrize("block_size", [0, -5])
+def test_monte_carlo_rejects_block_size_below_one(block_size):
+    with pytest.raises(ValueError, match="block_size"):
+        monte_carlo_regions(0, 10, block_size=block_size)
+
+
 def test_classify_zero_matrix_is_reducible():
     f = classify(MatrixPair(Mat2(0, 0, 0, 0), Mat2(1, 2, 3, 4)))
     assert f.reducible is True
