@@ -32,6 +32,7 @@ from .linalg import (
     FiveTuple,
     Mat2,
     MatrixPair,
+    commutator_quintic,
     five_tuple,
     realizable,
     spectral_radius,
@@ -136,8 +137,7 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
     if d <= tol * scale:
         raise ValueError(f"x^2 - 4u is too small to symmetrize: margin {d / scale:.3e}")
     rd = math.sqrt(d)
-    quintic = 4.0 * u * v - u * y * y - v * x * x + x * y * z - z * z
-    off = math.sqrt(quintic / d)
+    off = math.sqrt(commutator_quintic(x, y, z, u, v) / d)
     a_sym = Mat2(0.5 * (x + rd), 0.0, 0.0, 0.5 * (x - rd))
     b_sym = Mat2(
         (y * rd - x * y + 2.0 * z) / (2.0 * rd), off,

@@ -40,6 +40,7 @@ __all__ = [
     "scaled_letter",
     "scaled_word_product",
     "commutator_matrix",
+    "commutator_quintic",
     "commutator_invariant",
     "is_reducible",
     "realizable",
@@ -330,6 +331,11 @@ def commutator_matrix(p: MatrixPair) -> Mat2:
     return (p.A @ p.B) - (p.B @ p.A)
 
 
+def commutator_quintic(x: float, y: float, z: float, u: float, v: float) -> float:
+    """det(AB - BA) as the quintic in the five invariants (x, y, z, u, v)."""
+    return 4.0 * u * v - u * y * y - v * x * x + x * y * z - z * z
+
+
 @dataclass(frozen=True, slots=True)
 class CommutatorReport:
     """det(AB - BA) together with its equivalent algebraic expressions.
@@ -356,7 +362,7 @@ def commutator_invariant(p: MatrixPair) -> CommutatorReport:
     a, b = p.A, p.B
     x, y, z, u, v = five_tuple(p)
 
-    e1 = 4.0 * u * v - u * y * y - v * x * x + x * y * z - z * z
+    e1 = commutator_quintic(x, y, z, u, v)
     e2 = commutator_matrix(p).det()
     e3 = 0.25 * (x * x - 4.0 * u) * (y * y - 4.0 * v) - (z - 0.5 * x * y) ** 2
     ab = a @ b
@@ -415,8 +421,7 @@ def is_reducible(p: MatrixPair, tol: float = 1e-9) -> ReducibilityReport:
 def realizable(t: FiveTuple) -> bool:
     """Whether a real matrix pair attains this 5-tuple."""
     x, y, z, u, v = t
-    delta = 4.0 * u * v - u * y * y - v * x * x + x * y * z - z * z
-    return min(4.0 * u - x * x, delta) <= 0.0
+    return min(4.0 * u - x * x, commutator_quintic(x, y, z, u, v)) <= 0.0
 
 
 def conjugated(p: MatrixPair, g: Mat2) -> MatrixPair:

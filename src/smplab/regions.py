@@ -29,16 +29,18 @@ closed predicates (e.g. det(A) det(B) = 0 is mixed), while a nonzero
 value within the tolerance yields None ("indeterminate") instead of a
 guess.  Margins are reported scale-free.
 
-Cost model.  ``classify`` is the scalar reference for one pair: it
-builds Mat2 objects and a margins dict, about 40 us per pair on a 2-CPU
-x86 host with Python 3.11, and serves ``certify``, the Sturmian route,
-``symmetrize`` and the ``classify`` command.  ``classify_arrays`` runs the
-same operations in the same order as numpy passes over an (n, 8) array,
-so its margins and flags equal ``classify``'s bit for bit; it makes a
-fixed number of array passes (about a hundred), about 0.4 us per row at
-n = 10^4 on the same host.  ``monte_carlo_regions`` draws each seeded
-block of 10^4 rows at once and classifies it in one ``classify_arrays``
-call, one block after another.
+Cost model.  The eight margins and the three-valued flag logic are
+written once (``_margins``, ``_flags``), with arithmetic, comparisons, &
+and | only, so the same code runs on floats and on numpy arrays.
+``classify`` and ``classify_arrays`` share both, ``classify_tuple`` the
+flag logic; only the norm scaling, the zero-matrix case and the decoding
+of the flags differ per shape.  ``classify`` takes about 20 us per pair on a
+2-CPU x86 host with Python 3.11, and serves ``certify``, the Sturmian
+route, ``symmetrize`` and the ``classify`` command.  ``classify_arrays``
+makes a fixed number of numpy passes over an (n, 8) array, about 0.5 us
+per row at n = 10^4 on the same host.  ``monte_carlo_regions`` draws each
+seeded block of 10^4 rows at once and classifies it in one
+``classify_arrays`` call, one block after another.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ from enum import Enum
 
 import numpy as np
 
+from .kernels import _twice_sq_norms
 from .linalg import (
     FiveTuple,
     Mat2,
     MatrixPair,
     Spectrum,
     SpectrumKind,
-    commutator_matrix,
-    five_tuple,
+    commutator_quintic,
     operator_norm_2,
     realizable,
     spectrum,
@@ -77,45 +79,6 @@ __all__ = [
 ]
 
 Tri = bool | None
-
-
-def _sign(value: float, tol: float) -> int | None:
-    """+1 / -1 for values beyond tol, 0 for an exact zero, None inside tol."""
-    if value == 0.0:
-        return 0
-    if value > tol:
-        return 1
-    if value < -tol:
-        return -1
-    return None
-
-
-def _pos(s: int | None) -> Tri:
-    return None if s is None else s > 0
-
-
-def _neg(s: int | None) -> Tri:
-    return None if s is None else s < 0
-
-
-def _nonpos(s: int | None) -> Tri:
-    return None if s is None else s <= 0
-
-
-def _and(*vals: Tri) -> Tri:
-    if any(v is False for v in vals):
-        return False
-    if any(v is None for v in vals):
-        return None
-    return True
-
-
-def _or(*vals: Tri) -> Tri:
-    if any(v is True for v in vals):
-        return True
-    if any(v is None for v in vals):
-        return None
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,60 +125,6 @@ class RegionFlags:
         }
 
 
-def _flags_from_signs(s_comm, s_da, s_db, s_u, s_v, s_uv, s_dom, s_align,
-                      margins: dict[str, float]) -> RegionFlags:
-    reducible = True if s_comm == 0 else (None if s_comm is None else False)
-
-    in_cross = _and(_pos(s_da), _pos(s_db), _pos(s_comm))
-    in_mix = _nonpos(s_uv)
-    in_neg = _and(_neg(s_u), _neg(s_v))
-    gl_diag = _and(_pos(s_u), _pos(s_v), _pos(s_da), _pos(s_db), _neg(s_comm))
-    in_copar = _and(gl_diag, _pos(s_dom), _pos(s_align))
-    in_anti = _and(gl_diag, _or(_nonpos(s_dom), _nonpos(s_align)))
-    in_complex = _or(_neg(s_da), _neg(s_db))
-
-    if reducible is True:
-        in_cross = in_mix = in_neg = in_copar = in_anti = in_complex = False
-    return RegionFlags(in_cross, in_mix, in_neg, in_copar, in_anti,
-                       in_complex, reducible, margins)
-
-
-def classify(p: MatrixPair, tol: float = 1e-9) -> RegionFlags:
-    """Classify a pair by the sign conditions, with scale-free margins.
-
-    Every test is evaluated on the norm-scaled pair (A/|A|_2, B/|B|_2):
-    the raw quantities scale with powers of the entries (the commutator
-    determinant with the fourth power), so this both makes the margins
-    invariant under independent rescaling and keeps them finite for
-    inputs of any magnitude.
-    """
-    na = operator_norm_2(p.A)
-    nb = operator_norm_2(p.B)
-    if na == 0.0 or nb == 0.0:
-        # a zero matrix commutes with everything
-        return _flags_from_signs(0, None, None, None, None, None, None, None,
-                                 {"commutator": 0.0})
-    pn = MatrixPair(p.A.divided_by(na), p.B.divided_by(nb))
-    x, y, z, u, v = five_tuple(pn)
-
-    m = {
-        "commutator": commutator_matrix(pn).det(),
-        "disc_a": x * x - 4.0 * u,
-        "disc_b": y * y - 4.0 * v,
-        "det_a": u,
-        "det_b": v,
-        "det_product": u * v,
-        "copar_dominance": abs(z) - 0.5 * abs(x * y),
-        "copar_alignment": z * x * y,
-    }
-    return _flags_from_signs(
-        _sign(m["commutator"], tol), _sign(m["disc_a"], tol), _sign(m["disc_b"], tol),
-        _sign(m["det_a"], tol), _sign(m["det_b"], tol), _sign(m["det_product"], tol),
-        _sign(m["copar_dominance"], tol), _sign(m["copar_alignment"], tol),
-        m,
-    )
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class RegionArrays:
     """``classify`` over n pairs at once.
@@ -247,6 +156,99 @@ class RegionArrays:
                                   self.in_anti, self.in_complex, self.reducible]) == -1
 
 
+def _margins(a11, a12, a21, a22, b11, b12, b21, b22) -> dict:
+    """The eight sign-test margins of a norm-scaled pair (A, B).
+
+    Only +, -, * and abs, so the same operations in the same order run on
+    floats (``classify``) and on numpy arrays of rows (``classify_arrays``).
+    """
+    ab11 = a11 * b11 + a12 * b21
+    ab12 = a11 * b12 + a12 * b22
+    ab21 = a21 * b11 + a22 * b21
+    ab22 = a21 * b12 + a22 * b22
+    x = a11 + a22
+    y = b11 + b22
+    z = ab11 + ab22
+    u = a11 * a22 - a12 * a21
+    v = b11 * b22 - b12 * b21
+    # det(AB - BA) from the entries, as commutator_matrix(...).det()
+    c11 = ab11 - (b11 * a11 + b12 * a21)
+    c12 = ab12 - (b11 * a12 + b12 * a22)
+    c21 = ab21 - (b21 * a11 + b22 * a21)
+    c22 = ab22 - (b21 * a12 + b22 * a22)
+    return {
+        "commutator": c11 * c22 - c12 * c21,
+        "disc_a": x * x - 4.0 * u,
+        "disc_b": y * y - 4.0 * v,
+        "det_a": u,
+        "det_b": v,
+        "det_product": u * v,
+        "copar_dominance": abs(z) - 0.5 * abs(x * y),
+        "copar_alignment": z * x * y,
+    }
+
+
+def _flags(comm, disc_a, disc_b, det_a, det_b, det_product, dominance, alignment,
+           tol: float) -> list:
+    """The seven flags of ``RegionFlags``, in its field order, from the margins.
+
+    Each flag is a pair (definitely True, definitely False); neither holds
+    within tol of a boundary.  A margin is positive above tol, zero when it
+    is exactly 0.0 and negative below -tol; a missing margin is NaN, which
+    is none of the three.  Comparisons, & and | only, so the margins may be
+    floats or numpy arrays.  A negative or NaN tol raises ValueError.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    c_pos, c_zero, c_neg = comm > tol, comm == 0.0, comm < -tol
+    a_pos, a_zero, a_neg = disc_a > tol, disc_a == 0.0, disc_a < -tol
+    b_pos, b_zero, b_neg = disc_b > tol, disc_b == 0.0, disc_b < -tol
+    u_pos, u_zero, u_neg = det_a > tol, det_a == 0.0, det_a < -tol
+    v_pos, v_zero, v_neg = det_b > tol, det_b == 0.0, det_b < -tol
+    uv_pos, uv_nonpos = det_product > tol, (det_product == 0.0) | (det_product < -tol)
+    dom_pos, dom_nonpos = dominance > tol, (dominance == 0.0) | (dominance < -tol)
+    al_pos, al_nonpos = alignment > tol, (alignment == 0.0) | (alignment < -tol)
+
+    # both in GL+ and real-diagonalizable, det(AB - BA) < 0
+    gl_true = u_pos & v_pos & a_pos & b_pos & c_neg
+    gl_false = (u_zero | u_neg | v_zero | v_neg | a_zero | a_neg | b_zero | b_neg
+                | c_pos | c_zero)
+    regions = (
+        (a_pos & b_pos & c_pos, a_zero | a_neg | b_zero | b_neg | c_zero | c_neg),
+        (uv_nonpos, uv_pos),
+        (u_neg & v_neg, u_pos | u_zero | v_pos | v_zero),
+        (gl_true & dom_pos & al_pos, gl_false | dom_nonpos | al_nonpos),
+        (gl_true & (dom_nonpos | al_nonpos), gl_false | (dom_pos & al_pos)),
+        (a_neg | b_neg, (a_pos | a_zero) & (b_pos | b_zero)),
+    )
+    # a definitely reducible pair carries no region flags
+    irreducible = comm != 0.0
+    return [(t & irreducible, f | c_zero) for t, f in regions] + [(c_zero, c_pos | c_neg)]
+
+
+def _region_flags(flags: list, margins: dict[str, float]) -> RegionFlags:
+    return RegionFlags(*(True if t else False if f else None for t, f in flags), margins)
+
+
+def classify(p: MatrixPair, tol: float = 1e-9) -> RegionFlags:
+    """Classify a pair by the sign conditions, with scale-free margins.
+
+    Every test is evaluated on the norm-scaled pair (A/|A|_2, B/|B|_2):
+    the raw quantities scale with powers of the entries (the commutator
+    determinant with the fourth power), so this both makes the margins
+    invariant under independent rescaling and keeps them finite for
+    inputs of any magnitude.  A negative or NaN ``tol`` raises ValueError.
+    """
+    na = operator_norm_2(p.A)
+    nb = operator_norm_2(p.B)
+    if na == 0.0 or nb == 0.0:
+        # a zero matrix commutes with everything
+        margins = {"commutator": 0.0}
+        return _region_flags(_flags(0.0, *[math.nan] * 7, tol), margins)
+    margins = _margins(*p.A.divided_by(na).entries(), *p.B.divided_by(nb).entries())
+    return _region_flags(_flags(*margins.values(), tol), margins)
+
+
 def _divided_by_arrays(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``Mat2.divided_by`` over arrays: m holds (a11, a12, a21, a22) on axis 0."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,113 +262,40 @@ def _divided_by_arrays(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _operator_norm_2_arrays(m: np.ndarray) -> np.ndarray:
-    """``operator_norm_2`` over arrays, with its range step as a mask."""
+    """``operator_norm_2`` over arrays, with its range step as a mask and the
+    closed form of the scan kernels."""
     scale = np.abs(m).max(axis=0)
     s = np.where((scale > 1e75) | ((0.0 < scale) & (scale < 1e-75)), scale, 1.0)
-    a11, a12, a21, a22 = _divided_by_arrays(m, s)
-    t = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
-    d = a11 * a22 - a12 * a21
-    disc = t * t - 4.0 * d * d
-    disc[disc < 0.0] = 0.0
-    return s * np.sqrt(0.5 * (t + np.sqrt(disc)))
-
-
-# _sign over arrays as three masks (> tol, == 0, < -tol), none set inside
-# tol; the predicates below return a three-valued flag as the mask pair
-# (definitely True, definitely False)
-def _signs(x: np.ndarray, tol: float):
-    return x > tol, x == 0.0, x < -tol
-
-
-def _pos_a(s):
-    return s[0], s[1] | s[2]
-
-
-def _neg_a(s):
-    return s[2], s[0] | s[1]
-
-
-def _nonpos_a(s):
-    return s[1] | s[2], s[0]
-
-
-def _and_a(*tris):
-    return np.logical_and.reduce([t for t, _ in tris]), np.logical_or.reduce([f for _, f in tris])
-
-
-def _or_a(*tris):
-    return np.logical_or.reduce([t for t, _ in tris]), np.logical_and.reduce([f for _, f in tris])
-
-
-def _encode(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(definitely True, definitely False) -> int8 1 / 0, and -1 for neither."""
-    return t.view(np.int8) - (~(t | f)).view(np.int8)
+    return s * np.sqrt(0.5 * _twice_sq_norms(*_divided_by_arrays(m, s)))
 
 
 def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
     """``classify`` for every row of an (n, 8) array of pairs.
 
-    Row i holds A's entries (a11, a12, a21, a22) and then B's.  The scalar
-    operations run in the same order, so every margin equals ``classify``'s
-    bit for bit, and so does every flag.  Non-finite entries raise
-    ValueError, as ``Mat2`` does; so does a negative or NaN ``tol``.
+    Row i holds A's entries (a11, a12, a21, a22) and then B's.  The margins
+    and flags come from the same code as ``classify``'s, so they equal its
+    results bit for bit.  Non-finite entries raise ValueError, as ``Mat2``
+    does; so does a negative or NaN ``tol``.
     """
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[1] != 8:
         raise ValueError(f"entries must have shape (n, 8), got {e.shape}")
     if not np.isfinite(e).all():
         raise ValueError("matrix entries must be finite")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
     m = np.ascontiguousarray(e.reshape(-1, 2, 4).transpose(2, 1, 0))  # entry, matrix, row
     norms = _operator_norm_2_arrays(m)
-    zero = (norms == 0.0).any(axis=0)  # a zero matrix commutes with everything
-    norms[:, zero] = 1.0
-    (a11, a12, a21, a22), (b11, b12, b21, b22) = _divided_by_arrays(m, norms).transpose(1, 0, 2)
-
-    ab11 = a11 * b11 + a12 * b21
-    ab12 = a11 * b12 + a12 * b22
-    ab21 = a21 * b11 + a22 * b21
-    ab22 = a21 * b12 + a22 * b22
-    x = a11 + a22
-    y = b11 + b22
-    z = ab11 + ab22
-    u = a11 * a22 - a12 * a21
-    v = b11 * b22 - b12 * b21
-    # det(AB - BA) from the entries, as commutator_matrix(pn).det()
-    c11 = ab11 - (b11 * a11 + b12 * a21)
-    c12 = ab12 - (b11 * a12 + b12 * a22)
-    c21 = ab21 - (b21 * a11 + b22 * a21)
-    c22 = ab22 - (b21 * a12 + b22 * a22)
-    margins = {
-        "commutator": c11 * c22 - c12 * c21,
-        "disc_a": x * x - 4.0 * u,
-        "disc_b": y * y - 4.0 * v,
-        "det_a": u,
-        "det_b": v,
-        "det_product": u * v,
-        "copar_dominance": np.abs(z) - 0.5 * np.abs(x * y),
-        "copar_alignment": z * x * y,
-    }
+    zero_norm = norms == 0.0
+    norms[zero_norm] = 1.0
+    zero = zero_norm.any(axis=0)  # a zero matrix commutes with everything
+    a, b = _divided_by_arrays(m, norms).transpose(1, 0, 2)
+    margins = _margins(*a, *b)
     if zero.any():
         for key, value in margins.items():
             value[zero] = 0.0 if key == "commutator" else math.nan
-
-    s_comm, s_da, s_db, s_u, s_v, s_uv, s_dom, s_align = (
-        _signs(value, tol) for value in margins.values())
-    reducible = s_comm[1], s_comm[0] | s_comm[2]
-    gl_diag = _and_a(_pos_a(s_u), _pos_a(s_v), _pos_a(s_da), _pos_a(s_db), _neg_a(s_comm))
-    regions = (
-        _and_a(_pos_a(s_da), _pos_a(s_db), _pos_a(s_comm)),
-        _nonpos_a(s_uv),
-        _and_a(_neg_a(s_u), _neg_a(s_v)),
-        _and_a(gl_diag, _pos_a(s_dom), _pos_a(s_align)),
-        _and_a(gl_diag, _or_a(_nonpos_a(s_dom), _nonpos_a(s_align))),
-        _or_a(_neg_a(s_da), _neg_a(s_db)),
-    )
-    # a definitely reducible pair carries no region flags
-    flags = [_encode(t & ~reducible[0], f | reducible[0]) for t, f in regions]
-    return RegionArrays(*flags, _encode(*reducible), margins)
+    # (definitely True, definitely False) -> int8 1 / 0, and -1 for neither
+    flags = [t.view(np.int8) - (~(t | f)).view(np.int8)
+             for t, f in _flags(*margins.values(), tol)]
+    return RegionArrays(*flags, margins)
 
 
 def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
@@ -374,7 +303,8 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
 
     Signs are first flipped, (x, z) -> (-x, -z) and/or (y, z) -> (-y, -z),
     to reach x, y >= 0; legitimate because negating either matrix moves no
-    pair across a region boundary.  Requires a realizable tuple.
+    pair across a region boundary.  Requires a realizable tuple.  A negative
+    or NaN ``tol`` raises ValueError.
     """
     if not realizable(t):
         raise ValueError(f"tuple is not attained by any real pair: {tuple(t)!r}")
@@ -388,33 +318,28 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     sb = max(1.0, y * y, 4.0 * abs(v))
     da = x * x - 4.0 * u
     db = y * y - 4.0 * v
-    delta = 4.0 * u * v - u * y * y - v * x * x + x * y * z - z * z
 
     m = {
-        "commutator": delta / (sa * sb),
+        "commutator": commutator_quintic(x, y, z, u, v) / (sa * sb),
         "disc_a": da / sa,
         "disc_b": db / sb,
         "det_a": u / sa,
         "det_b": v / sb,
         "det_product": (u * v) / (sa * sb),
     }
-    s_da = _sign(m["disc_a"], tol)
-    s_db = _sign(m["disc_b"], tol)
-
-    # side of the crossing window; above <=> co-parallel, below <=> anti
-    s_window = None
-    if s_da == 1 and s_db == 1:
+    # side of the crossing window, where both discriminants are positive;
+    # above <=> co-parallel, below <=> anti.  A bad tol leaves it NaN, and
+    # _flags rejects the tol.
+    window = math.nan
+    if m["disc_a"] > tol >= 0.0 and m["disc_b"] > tol:
         w = 0.5 * math.sqrt(da * db)
         scale = math.sqrt(sa * sb)
-        m["window_above"] = (z - (0.5 * x * y + w)) / scale
+        m["window_above"] = window = (z - (0.5 * x * y + w)) / scale
         m["window_below"] = ((0.5 * x * y - w) - z) / scale
-        s_window = _sign(m["window_above"], tol)
 
-    return _flags_from_signs(
-        _sign(m["commutator"], tol), s_da, s_db,
-        _sign(m["det_a"], tol), _sign(m["det_b"], tol), _sign(m["det_product"], tol),
-        s_window, s_window, m,
-    )
+    return _region_flags(_flags(
+        m["commutator"], m["disc_a"], m["disc_b"], m["det_a"], m["det_b"],
+        m["det_product"], window, window, tol), m)
 
 
 class AxisKind(Enum):

@@ -213,7 +213,8 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
     when f(mediant(l, m)) > f(m), right of m symmetrically, and between
     the sub-mediants otherwise.  Stops once r - l < resolution.  All
     evaluated samples feed a midpoint-concavity audit; violations beyond
-    ``audit_tol`` raise ConcavityViolation.
+    ``audit_tol`` raise ConcavityViolation.  A negative or NaN ``audit_tol``
+    raises ValueError.
 
     Every sample is the mediant a (+) b of evaluated neighbours a < b, and
     the Christoffel factorization C(a (+) b) = C(a) C(b) makes its cycle
@@ -226,6 +227,8 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
                          f"copar flag = {flags.in_copar!r}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    if not audit_tol >= 0.0:  # NaN would pass every audit
+        raise ValueError(f"audit_tol must be >= 0, got {audit_tol!r}")
     resolution = Fraction(resolution)
     res_num, res_den = resolution.numerator, resolution.denominator
 

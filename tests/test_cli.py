@@ -217,3 +217,37 @@ def test_montecarlo_csv_is_byte_identical_to_the_per_pair_classifier(capsys, see
                            "--samples", "100000", "--dist", dist)
     assert code == 0
     assert out.encode() == (GOLDEN / f"montecarlo_seed{seed}_{dist}.csv").read_bytes()
+
+
+CLASSIFY_TUPLES = ("3,3,8,1,1", "3,3,4,1,1", "3,3,1,1,1",
+                   "-3.76601,-0.49459,-8.13153,3.52510,8.71249")
+
+
+@pytest.mark.parametrize("runs, expected", [
+    ([("--batch", GOLDEN / "pairs.ndjson")], "classify.ndjson"),
+    ([("--batch", GOLDEN / "edge_pairs.ndjson")], "classify_edge.ndjson"),
+    ([(f"--tuple={t}",) for t in CLASSIFY_TUPLES], "classify_tuple.ndjson"),
+], ids=["corpus", "edge", "tuple"])
+def test_golden_classify_stdout_is_byte_identical(capsys, runs, expected):
+    # golden/classify*.ndjson were printed by classify and classify_tuple
+    # before they shared their margin and flag code with classify_arrays.
+    # golden/edge_pairs.ndjson: a zero matrix, det = 0, margins inside tol,
+    # rows scaled by 1e-310 and 1e200, and A tiny with B huge.
+    out = ""
+    for args in runs:
+        code, text, _ = run_cli(capsys, "classify", *map(str, args))
+        assert code == 0
+        out += text
+    assert out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_negative_or_nan_tol_exits_1_with_an_error_line(tmp_path, capsys, tol):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]}))
+    for args in (["smp", "--pair", str(f)], ["symmetrize", "--pair", str(f)],
+                 ["classify", "--pair", str(f)], ["classify", "--tuple", "3,3,8,1,1"],
+                 ["classify", "--batch", str(GOLDEN / "pairs.ndjson")]):
+        code, out, err = run_cli(capsys, *args, "--tol", tol)
+        assert (code, out) == (1, ""), args
+        assert err.startswith("error: tol must be >= 0"), args

@@ -1,10 +1,13 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair
-from smplab.constructions import realize_from_tuple
+from smplab.constructions import realize_from_tuple, symmetrize
+from smplab.jsr import certify
 from smplab.linalg import FiveTuple, Mat2, MatrixPair, five_tuple, spectral_radius
 from smplab.regions import (
     AxisKind,
@@ -14,6 +17,7 @@ from smplab.regions import (
     geometric_oracle,
     monte_carlo_regions,
 )
+from smplab.sturmian import maximize_sturmian
 
 DIAG_ONES = MatrixPair(Mat2(2, 0, 0, 0.5), Mat2(1, 1, 1, 1))
 
@@ -252,3 +256,39 @@ def test_classify_arrays_input_checks():
         rows[1, 5] = bad
         with pytest.raises(ValueError):
             classify_arrays(rows)
+
+
+_SCALE = st.integers(-310, 300).map(lambda k: 10.0 ** k)
+_SMALL = st.one_of(st.just(0.0), st.integers(-3, 3).map(float))
+_MATRIX = st.one_of(
+    # entries at independent scales
+    st.lists(st.one_of(_SMALL, st.builds(operator.mul, st.floats(-10, 10), _SCALE)),
+             min_size=4, max_size=4),
+    # one scale for the whole matrix
+    st.builds(lambda e, s: [x * s for x in e],
+              st.lists(st.one_of(_SMALL, st.floats(-1, 1)), min_size=4, max_size=4), _SCALE),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.builds(operator.add, _MATRIX, _MATRIX), min_size=1, max_size=16))
+def test_classify_arrays_matches_classify_on_drawn_rows(rows):
+    assert_matches_scalar(np.array(rows, dtype=float))
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_negative_or_nan_tol_is_rejected(tol):
+    calls = [
+        lambda: classify(DIAG_ONES, tol),
+        lambda: classify(MatrixPair(Mat2(0, 0, 0, 0), DIAG_ONES.B), tol),
+        lambda: classify_arrays(np.ones((2, 8)), tol),
+        lambda: classify_tuple(FiveTuple(3, 3, 8, 1, 1), tol),
+        lambda: classify_tuple(FiveTuple(3, 1, 1, 1, 1), tol),  # disc(B) < 0: no window
+        lambda: certify(DIAG_ONES, tol),
+        lambda: symmetrize(DIAG_ONES, tol),
+        lambda: maximize_sturmian(realize_from_tuple(FiveTuple(3, 3, 8, 1, 1)),
+                                  audit_tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            call()
