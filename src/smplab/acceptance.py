@@ -1,9 +1,9 @@
 """The acceptance suite: every exit criterion as a callable check.
 
 Each criterion returns a CriterionResult with a pass flag and a one-line
-detail.  ``run_all`` executes them in order; the CLI ``reproduce``
-subcommand and tests/test_acceptance.py both drive this module, so the
-checks exist exactly once.
+detail.  ``CRITERIA`` lists them in order; the CLI ``reproduce``
+subcommand (``cli.reproduce_all``) and tests/test_acceptance.py both run
+that list, so the checks exist exactly once.
 
 Randomized criteria derive their generators from (seed, criterion index),
 so separate criteria are independent but reruns are reproducible, and
@@ -47,7 +47,7 @@ from .words import (
     words_with_counts,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all", "run_one", "criterion_names"]
+__all__ = ["CriterionResult", "CRITERIA", "criterion_names"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,11 +500,3 @@ CRITERIA: list[tuple[str, Callable[[int], CriterionResult]]] = [
 
 def criterion_names() -> list[str]:
     return [name for name, _ in CRITERIA]
-
-
-def run_one(index: int, seed: int = 0) -> CriterionResult:
-    return CRITERIA[index][1](seed)
-
-
-def run_all(seed: int = 0) -> list[CriterionResult]:
-    return [fn(seed) for _, fn in CRITERIA]

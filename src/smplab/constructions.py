@@ -36,6 +36,7 @@ from .linalg import (
     five_tuple,
     realizable,
     spectral_radius,
+    unit_scaled,
 )
 from .regions import classify
 
@@ -125,13 +126,16 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
     with d = x^2 - 4u > 0 and the commutator quintic positive, the
     conjugate pair is diag((x +- sqrt(d))/2) and the symmetric B with
     off-diagonal sqrt(quintic / d).  The five invariants are preserved.
+    It runs on ``unit_scaled(p)`` and scales the result back exactly, so
+    no pair is refused for its scale.
     """
-    flags = classify(p, tol)
+    q, e = unit_scaled(p)
+    flags = classify(q, tol)
     if flags.in_cross is not True:
         raise ValueError("pair is not (definitely) crossing; "
                          f"cross flag = {flags.in_cross!r}, "
                          f"margins = {flags.margins}")
-    x, y, z, u, v = five_tuple(p)
+    x, y, z, u, v = five_tuple(q)
     d = x * x - 4.0 * u
     scale = max(1.0, x * x, 4.0 * abs(u))
     if d <= tol * scale:
@@ -143,7 +147,7 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
         (y * rd - x * y + 2.0 * z) / (2.0 * rd), off,
         off, (y * rd + x * y - 2.0 * z) / (2.0 * rd),
     )
-    return MatrixPair(a_sym, b_sym)
+    return MatrixPair(a_sym.ldexp(e), b_sym.ldexp(e))
 
 
 def realize_from_tuple(t: FiveTuple, branch_tol: float = 1e-12) -> MatrixPair:

@@ -33,7 +33,6 @@ __all__ = [
     "AlgebraElement",
     "fricke_poly",
     "evaluate",
-    "evaluate_abs",
     "monomial_at_uv0",
 ]
 
@@ -217,15 +216,6 @@ def evaluate(f: Poly5, t: FiveTuple | tuple) -> float:
     for (ex, ey, ez, eu, ev), c in f.items():
         total += c * x**ex * y**ey * z**ez * u**eu * v**ev
     return float(total)
-
-
-def evaluate_abs(f: Poly5, t: FiveTuple | tuple) -> float:
-    """Sum of absolute monomial values; a conditioning scale for evaluate."""
-    x, y, z, u, v = (abs(float(s)) for s in t)
-    total = 0.0
-    for (ex, ey, ez, eu, ev), c in f.items():
-        total += abs(c) * x**ex * y**ey * z**ez * u**eu * v**ev
-    return total
 
 
 def monomial_at_uv0(word: str) -> Poly5:

@@ -25,7 +25,7 @@ certificate to a brute-force interval instead of risking a wrong claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -34,9 +34,11 @@ from .linalg import (
     Mat2,
     MatrixPair,
     operator_norm_2,
+    renormalized,
     spectral_radius,
     spectrum,
     SpectrumKind,
+    unit_scaled,
 )
 from .regions import classify
 from .words import christoffel
@@ -75,7 +77,7 @@ class BoundsReport:
     ``upper`` is the smallest per-length norm ceiling.  ``second_value``
     is the best value over classes other than the winner (with its word
     when it is some length's champion), and ``ties`` lists every class
-    within ``tie_tol`` of the winner.
+    within ``tie_tol`` times max(|A|_2, |B|_2) of the winner.
     """
 
     lower: float
@@ -130,10 +132,11 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
 
     Matrices are pre-scaled by 1/max(|A|_2, |B|_2) (by 1 for an all-zero
     pair), so products keep the same range whatever the pair's scale; the
-    reported roots are scale-corrected.  ``norm`` is "euclid"
-    or any homogeneous matrix norm callable (e.g. a polygon gauge); the
-    lower bound never depends on the norm.  Best-word ties break to the
-    shorter length, then lexicographically.
+    reported roots are scale-corrected, and ``tie_tol`` is relative to
+    that max norm.  ``norm`` is "euclid" or any homogeneous matrix norm
+    callable (e.g. a polygon gauge); the lower bound never depends on the
+    norm.  Best-word ties break to the shorter length, then
+    lexicographically.
     """
     if not 1 <= max_len <= MAX_BRUTE_LEN:
         raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
@@ -142,7 +145,7 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
     b_s = p.B.divided_by(s)
 
     best_root, best_word, second_root, ties_raw = kernels.scan_classes(
-        a_s.entries(), b_s.entries(), max_len, tie_tol / s)
+        a_s.entries(), b_s.entries(), max_len, tie_tol)
 
     if norm == "euclid":
         norm_roots = kernels.norm_profile(a_s.entries(), b_s.entries(), max_len)
@@ -172,8 +175,7 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
             second_value = st.rho_root
             second_word = st.rho_word
 
-    ties = sorted({w for w, r in ties_raw if r * s >= lower - tie_tol},
-                  key=lambda w: (len(w), w))
+    ties = [w for w, _ in ties_raw]  # by length, then lexicographically
     return BoundsReport(lower=lower, upper=upper, best_word=best_w,
                         second_value=second_value, second_word=second_word,
                         ties=ties, per_length=per_length, norm=norm_name,
@@ -261,17 +263,11 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
                 if num <= 0.0 or n >= num / den - 1.0:
                     terminated = True
                     break
-        cur = cur @ pm_s
-        m_abs = cur.max_abs()
-        if m_abs == 0.0:
-            # nilpotent power: every later product vanishes
-            terminated = True
-            n += 1
-            break
-        if m_abs > 1e120 or m_abs < 1e-120:
-            cur = cur.divided_by(m_abs)
-            cur_log += math.log(m_abs)
+        cur, cur_log = renormalized(cur @ pm_s, cur_log)
         n += 1
+        if cur.is_zero():  # nilpotent power: every later product vanishes
+            terminated = True
+            break
         log_norms.append(math.log(operator_norm_2(cur)) + cur_log)
 
     return GelfandScan(direction=direction, n_star=best_n, value=best * s,
@@ -312,7 +308,7 @@ class SmpCandidate:
 
 def _argmax_words(cands: list[tuple[str, float]], tol: float) -> tuple[str, float, list[str]]:
     value = max(v for _, v in cands)
-    tied = sorted((w for w, v in cands if v >= value - tol * max(1.0, value)),
+    tied = sorted({w for w, v in cands if v >= value - tol * max(1.0, value)},
                   key=lambda w: (len(w), w))
     return tied[0], value, tied
 
@@ -342,12 +338,28 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
     directions when the product is exactly zero); co-parallel pairs get
     the Sturmian candidate with a brute-force bracket; anything else is
     brute force only.
+
+    The routes run on ``unit_scaled(p)`` and scale value and bounds back
+    by the same exact power of two, so route, word and ties do not depend
+    on the scale of p.  The Sturmian descent runs on p: its logs are safe.
     """
+    q, e = unit_scaled(p)
+    cand = _certify_routes(p, q, tol, brute_len, resolution)
+    if e == 0 or cand.certificate == "co-parallel-sturmian-candidate":
+        return cand
+    scaled = {k: math.ldexp(x, e) for k in ("value", "jsr", "lower", "upper")
+              if (x := getattr(cand, k)) is not None}
+    return replace(cand, **scaled)
+
+
+def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
+                    resolution: Fraction) -> SmpCandidate:
+    """``certify`` on q = unit_scaled(p); only the co-parallel route reads p."""
     from .sturmian import maximize_sturmian  # deferred: sturmian imports regions
 
-    flags = classify(p, tol)
-    ra = spectral_radius(p.A)
-    rb = spectral_radius(p.B)
+    flags = classify(q, tol)
+    ra = spectral_radius(q.A)
+    rb = spectral_radius(q.B)
 
     if flags.reducible is True:
         word, value, ties = _argmax_words([("0", ra), ("1", rb)], tol)
@@ -362,11 +374,11 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
                             jsr=value, ties=ties)
 
     if flags.in_neg is True:
-        rab = math.sqrt(spectral_radius(p.A @ p.B))
+        rab = math.sqrt(spectral_radius(q.A @ q.B))
         word, value, ties = _argmax_words([("0", ra), ("1", rb), ("01", rab)], tol)
-        if _looks_like_scaled_reflection(p.A, value, tol) or \
-                _looks_like_scaled_reflection(p.B, value, tol):
-            br = brute_force(p, brute_len)
+        if _looks_like_scaled_reflection(q.A, value, tol) or \
+                _looks_like_scaled_reflection(q.B, value, tol):
+            br = brute_force(q, brute_len)
             return SmpCandidate(word=br.best_word, value=br.lower, certified=False,
                                 certificate="negative-determinants-reflection-degenerate",
                                 jsr=None, ties=br.ties, lower=br.lower, upper=br.upper)
@@ -375,28 +387,21 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
                             jsr=value, ties=ties)
 
     if flags.in_mix is True:
-        # Orient by the determinant signs of the pair scaled up by a power of
-        # two: exact, so no sign changes, and a small pair's determinants do
-        # not underflow to zero.
-        _, exp = math.frexp(max(p.A.max_abs(), p.B.max_abs()))
-        u = p.A.ldexp(max(0, -exp)).det()
-        v = p.B.ldexp(max(0, -exp)).det()
+        u, v = q.A.det(), q.B.det()
         if u > 0.0 > v:
             dirs = ["A_pow_B"]
         elif v > 0.0 > u:
             dirs = ["B_pow_A"]
         else:  # a zero determinant orients ambiguously: scan both ways
             dirs = ["A_pow_B", "B_pow_A"]
-        scans = [gelfand_scan(p, d) for d in dirs]
+        scans = [gelfand_scan(q, d) for d in dirs]
         best = max(scans, key=lambda g: g.value)
-        value = best.value
+        # both directions can name "01"; _argmax_words lists it once
+        _, value, ties = _argmax_words([(g.word, g.value) for g in scans], tol)
         certified = all(g.terminated for g in scans)
-        powered = {"A_pow_B": p.A, "B_pow_A": p.B}
+        powered = {"A_pow_B": q.A, "B_pow_A": q.B}
         if any(_looks_like_scaled_rotation(powered[d], value, tol) for d in dirs):
             certified = False
-        ties = sorted({g.word for g in scans
-                       if g.value >= value - tol * max(1.0, value)},
-                      key=lambda w: (len(w), w))
         return SmpCandidate(word=best.word, value=value, certified=certified,
                             certificate="mixed-determinants-power-scan"
                                         + ("" if certified else "-unterminated"),
@@ -413,7 +418,7 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
                             jsr=None, ties=[word],
                             lower=br.lower, upper=br.upper)
 
-    br = brute_force(p, brute_len)
+    br = brute_force(q, brute_len)
     return SmpCandidate(word=br.best_word, value=br.lower, certified=False,
                         certificate="brute-force-only", jsr=None,
                         ties=br.ties, lower=br.lower, upper=br.upper)

@@ -37,7 +37,9 @@ __all__ = [
     "operator_norm_2",
     "five_tuple",
     "word_product",
+    "unit_scaled",
     "scaled_letter",
+    "renormalized",
     "scaled_word_product",
     "commutator_matrix",
     "commutator_quintic",
@@ -289,6 +291,18 @@ def word_product(p: MatrixPair, word: str) -> Mat2:
     return out
 
 
+def unit_scaled(p: MatrixPair) -> tuple[MatrixPair, int]:
+    """``(q, e)`` with ``p = 2^e q`` and q's largest entry in [1, 2).
+
+    A power of two scales exactly (save an entry 2^1022 below the largest),
+    so only absolute tolerances and under- or overflow can see the scale
+    of p, and q keeps clear of both.  The zero pair gives e = 0.
+    """
+    m = max(p.A.max_abs(), p.B.max_abs())
+    e = math.frexp(m)[1] - 1 if m != 0.0 else 0
+    return (p, 0) if e == 0 else (MatrixPair(p.A.ldexp(-e), p.B.ldexp(-e)), e)
+
+
 def scaled_letter(m: Mat2) -> tuple[Mat2, float]:
     """``(M, logscale)`` with ``m = exp(logscale) * M``, ready to multiply.
 
@@ -302,14 +316,23 @@ def scaled_letter(m: Mat2) -> tuple[Mat2, float]:
     return m.divided_by(scale), math.log(scale)
 
 
+def renormalized(m: Mat2, logscale: float) -> tuple[Mat2, float]:
+    """``exp(logscale) * m`` as ``(M, logscale')``, divided by its largest
+    entry when that has left [1e-120, 1e120] (a zero matrix stays)."""
+    s = m.max_abs()
+    if s != 0.0 and (s > 1e120 or s < 1e-120):
+        return m.divided_by(s), logscale + math.log(s)
+    return m, logscale
+
+
 def scaled_word_product(p: MatrixPair, word: str) -> tuple[Mat2, float]:
     """Word product with running renormalization.
 
     Returns ``(P, logscale)`` such that the true product equals
     ``exp(logscale) * P``.  Long words (Christoffel cycles of large
     denominator) overflow or underflow doubles; this keeps the running
-    product's largest entry within [1e-120, 1e120], starting from the
-    letters of ``scaled_letter``.
+    product ``renormalized``, starting from the letters of
+    ``scaled_letter``.
     """
     if not word:
         raise ValueError("empty word has no product")
@@ -318,12 +341,7 @@ def scaled_word_product(p: MatrixPair, word: str) -> tuple[Mat2, float]:
     out = q.letter(word[0])
     logscale = letter_log[word[0]]
     for ch in word[1:]:
-        out = out @ q.letter(ch)
-        logscale += letter_log[ch]
-        m = out.max_abs()
-        if m != 0.0 and (m > 1e120 or m < 1e-120):
-            out = out.divided_by(m)
-            logscale += math.log(m)
+        out, logscale = renormalized(out @ q.letter(ch), logscale + letter_log[ch])
     return out, logscale
 
 
@@ -398,24 +416,17 @@ class ReducibilityReport:
 def is_reducible(p: MatrixPair, tol: float = 1e-9) -> ReducibilityReport:
     """Simultaneous-triangularizability test via det(AB - BA).
 
-    The raw commutator determinant scales with fourth powers of the
-    entries, so the tolerance is applied to the scale-free margin
-    ``det(AB - BA) / (|A|_2 |B|_2)^2``.  An exact zero is Reducible; a
-    nonzero margin inside ``tol`` is Indeterminate.
+    The verdict is ``classify``'s reducible flag and the margin its
+    scale-free commutator margin ``det(AB - BA) / (|A|_2 |B|_2)^2``: an
+    exact zero is Reducible, a nonzero margin inside ``tol`` Indeterminate.
+    A negative or NaN ``tol`` raises ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    na = operator_norm_2(p.A)
-    nb = operator_norm_2(p.B)
-    if na == 0.0 or nb == 0.0:
-        return ReducibilityReport(Reducibility.REDUCIBLE, 0.0)
-    margin = commutator_matrix(
-        MatrixPair(p.A.divided_by(na), p.B.divided_by(nb))).det()
-    if margin == 0.0:
-        return ReducibilityReport(Reducibility.REDUCIBLE, 0.0)
-    if abs(margin) <= tol:
-        return ReducibilityReport(Reducibility.INDETERMINATE, margin)
-    return ReducibilityReport(Reducibility.IRREDUCIBLE, margin)
+    from .regions import classify  # deferred: regions imports linalg
+
+    flags = classify(p, tol)
+    verdict = {True: Reducibility.REDUCIBLE, False: Reducibility.IRREDUCIBLE,
+               None: Reducibility.INDETERMINATE}[flags.reducible]
+    return ReducibilityReport(verdict, flags.margins["commutator"])
 
 
 def realizable(t: FiveTuple) -> bool:

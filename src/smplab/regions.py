@@ -303,8 +303,9 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
 
     Signs are first flipped, (x, z) -> (-x, -z) and/or (y, z) -> (-y, -z),
     to reach x, y >= 0; legitimate because negating either matrix moves no
-    pair across a region boundary.  Requires a realizable tuple.  A negative
-    or NaN ``tol`` raises ValueError.
+    pair across a region boundary.  Margins are relative to max(x^2, 4|u|)
+    and max(y^2, 4|v|), so rescaling either matrix changes none of them.
+    Requires a realizable tuple.  A negative or NaN ``tol`` raises ValueError.
     """
     if not realizable(t):
         raise ValueError(f"tuple is not attained by any real pair: {tuple(t)!r}")
@@ -314,8 +315,8 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     if y < 0:
         y, z = -y, -z
 
-    sa = max(1.0, x * x, 4.0 * abs(u))
-    sb = max(1.0, y * y, 4.0 * abs(v))
+    sa = max(x * x, 4.0 * abs(u)) or 1.0
+    sb = max(y * y, 4.0 * abs(v)) or 1.0
     da = x * x - 4.0 * u
     db = y * y - 4.0 * v
 

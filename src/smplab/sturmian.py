@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (Mat2, MatrixPair, scaled_letter, scaled_word_product,
-                     spectral_radius)
+from .linalg import (Mat2, MatrixPair, renormalized, scaled_letter,
+                     scaled_word_product, spectral_radius)
 from .regions import classify
 from .words import christoffel
 
@@ -218,8 +218,7 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
 
     Every sample is the mediant a (+) b of evaluated neighbours a < b, and
     the Christoffel factorization C(a (+) b) = C(a) C(b) makes its cycle
-    product P(a) @ P(b): one 2x2 multiply, renormalized as in
-    ``scaled_word_product``.
+    product P(a) @ P(b): one 2x2 multiply, then ``renormalized``.
     """
     flags = classify(p)
     if flags.in_copar is not True:
@@ -246,12 +245,7 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
         g = (a[0] + b[0], a[1] + b[1])
         if g not in values:
             (pa, la), (pb, lb) = products[a], products[b]
-            prod, logscale = pa @ pb, la + lb
-            m = prod.max_abs()
-            if m != 0.0 and (m > 1e120 or m < 1e-120):
-                prod = prod.divided_by(m)
-                logscale += math.log(m)
-            store(g, prod, logscale)
+            store(g, *renormalized(pa @ pb, la + lb))
         return g
 
     left, right = (0, 1), (1, 1)

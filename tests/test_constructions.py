@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair
 from smplab.constructions import (
@@ -269,3 +270,31 @@ def test_example_exhaustive_class_check():
                 val = spectral_radius(word_product(fam.pair, w)) ** (1.0 / total)
                 best_outside = max(best_outside, val)
     assert best_outside < 1.0 - 1e-3
+
+
+_CROSSING = [p for p in (MatrixPair(Mat2(*r[:4]), Mat2(*r[4:]))
+                         for r in np.random.default_rng(0).standard_normal((200, 8)))
+             if classify(p).in_cross is True]
+
+
+def _invariants_scaled_back(p, c):
+    x, y, z, u, v = five_tuple(p)
+    return (x / c, y / c, z / c / c, u / c / c, v / c / c)
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-20, 1e150])
+def test_symmetrize_accepts_crossing_pairs_at_any_scale(c):
+    # an absolute margin once refused 68 of these 72 pairs at 1e-5 and all
+    # at 1e-20; at 1e150 the commutator quintic overflowed
+    assert len(_CROSSING) == 72
+    for p in _CROSSING:
+        sym = symmetrize(MatrixPair(p.A * c, p.B * c))
+        assert _tuples_close(_invariants_scaled_back(sym, c), five_tuple(p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from(_CROSSING[:12] + [DIAG_ONES]), k=st.integers(-150, 150))
+def test_symmetrize_is_scale_covariant(p, k):
+    c = 10.0 ** k
+    sym = symmetrize(MatrixPair(p.A * c, p.B * c))
+    assert _tuples_close(_invariants_scaled_back(sym, c), five_tuple(p))

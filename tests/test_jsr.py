@@ -404,3 +404,40 @@ def test_lower_bound_and_certificate_survive_conjugation(p, g, max_len):
     assert brute_force(q, max_len).lower == \
         pytest.approx(brute_force(p, max_len).lower, rel=1e-12)
     _assert_same_certified_value(_certify(p), _certify(q))
+
+
+# Scale: a pair and c times it get the same route, word and ties.
+_SEEDED = [MatrixPair(Mat2(*r[:4]), Mat2(*r[4:]))
+           for r in np.random.default_rng(0).standard_normal((200, 8))]
+
+
+def test_certify_keeps_route_and_word_at_extreme_scales():
+    # every route once compared with absolute tolerances: 65 certificates
+    # changed at 1e-150, and the negative route raised above about 1e154
+    opts = {"brute_len": 8, "resolution": Fraction(1, 64)}
+    ref = [certify(p, **opts) for p in _SEEDED]
+    for c in (1e-200, 1e-150, 1e155, 1e200):
+        for p, r in zip(_SEEDED, ref):
+            cand = certify(MatrixPair(p.A * c, p.B * c), **opts)
+            assert (cand.certificate, cand.word, cand.ties) == \
+                (r.certificate, r.word, r.ties), (c, p)
+
+
+def test_brute_force_ties_are_relative_to_the_pair_scale():
+    # an absolute tie_tol once made every class a tie for a small pair
+    p = MatrixPair(Mat2(2, 1, 0, 1.5), Mat2(0.5, 0, 1, 1))
+    c = 1e-20
+    ref = brute_force(p, 10)
+    br = brute_force(MatrixPair(p.A * c, p.B * c), 10)
+    assert br.ties == ref.ties == [ref.best_word]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(_SCALE_PAIRS + _SEEDED[:12]), k=st.integers(-150, 150))
+def test_certify_is_scale_covariant(pair, k):
+    c = 10.0 ** k
+    ref = certify(pair, resolution=Fraction(1, 64))
+    cand = certify(MatrixPair(pair.A * c, pair.B * c), resolution=Fraction(1, 64))
+    assert (cand.certificate, cand.word) == (ref.certificate, ref.word)
+    if ref.certified and cand.certified:
+        assert cand.value / c == pytest.approx(ref.value, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_pair
@@ -15,11 +16,14 @@ from smplab.linalg import (
     is_reducible,
     operator_norm_2,
     realizable,
+    renormalized,
     scaled_word_product,
     spectral_radius,
     spectrum,
+    unit_scaled,
     word_product,
 )
+from smplab.regions import classify
 
 DIAG = Mat2(2, 0, 0, 0.5)
 ONES = Mat2(1, 1, 1, 1)
@@ -205,3 +209,51 @@ def test_extreme_scale_robustness():
     tiny = Mat2(2e-310, 0, 0, 0.5e-310)  # 1/2e-310 overflows to inf
     assert spectral_radius(tiny) == pytest.approx(2e-310, rel=1e-9)
     assert operator_norm_2(tiny) == pytest.approx(2e-310, rel=1e-9)
+
+
+def test_unit_scaled_is_an_exact_power_of_two_step():
+    p = MatrixPair(Mat2(1.5, -0.25, 0.0, 1.0), Mat2(0.5, 1.25, -1.75, 0.125))
+    assert unit_scaled(p) == (p, 0) and unit_scaled(p)[0] is p
+    zero = MatrixPair(Mat2(0, 0, 0, 0), Mat2(0, 0, 0, 0))
+    assert unit_scaled(zero) == (zero, 0)
+    for k in (-1074 + 3, -300, -1, 1, 52, 900):
+        big = MatrixPair(p.A.ldexp(k), p.B.ldexp(k))
+        assert unit_scaled(big) == (p, k)
+    q, e = unit_scaled(MatrixPair(Mat2(3e-310, 0, 0, 0), Mat2(0, -7e300, 0, 0)))
+    assert e == 999 and q.B.a12 == math.ldexp(-7e300, -999)
+    assert q.A.a11 == 0.0  # 2^1022 times below the largest: the one inexact case
+
+
+def test_renormalized_keeps_the_product_and_its_log():
+    m = Mat2(3.0, -1.0, 0.5, 2.0)
+    assert renormalized(m, 0.25) == (m, 0.25)
+    assert renormalized(Mat2(0, 0, 0, 0), 1.0) == (Mat2(0, 0, 0, 0), 1.0)
+    for s in (1e130, 1e-130):
+        out, log = renormalized(m * s, 0.5)
+        assert out.max_abs() == 1.0
+        assert log == pytest.approx(0.5 + math.log(3.0 * s), rel=1e-15)
+        assert out.a12 * math.exp(log - 0.5) == pytest.approx(-s, rel=1e-13)
+
+
+def test_is_reducible_answers_from_classify():
+    verdicts = {True: Reducibility.REDUCIBLE, False: Reducibility.IRREDUCIBLE,
+                None: Reducibility.INDETERMINATE}
+    near = MatrixPair(Mat2(2, 0, 0, 1), Mat2(1, 1e-6, 1e-6, 1))
+    zero = MatrixPair(Mat2(0, 0, 0, 0), Mat2(1, 2, 3, 4))
+    rng = np.random.default_rng(8)
+    pairs = [near, zero] + [random_pair(rng) for _ in range(50)]
+    for p in pairs:
+        for tol in (0.0, 1e-9, 1e-3):
+            rep, flags = is_reducible(p, tol), classify(p, tol)
+            assert rep.verdict is verdicts[flags.reducible]
+            assert rep.margin == flags.margins["commutator"]
+    assert is_reducible(near, 1e-9).verdict is Reducibility.INDETERMINATE
+    assert is_reducible(near, 0.0).verdict is Reducibility.IRREDUCIBLE
+    assert is_reducible(zero, 0.0).verdict is Reducibility.REDUCIBLE
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_is_reducible_rejects_nan_or_negative_tol(tol):
+    # a NaN tol once answered IRREDUCIBLE for a margin inside tolerance
+    with pytest.raises(ValueError):
+        is_reducible(MatrixPair(Mat2(2, 0, 0, 1), Mat2(1, 1e-6, 1e-6, 1)), tol)

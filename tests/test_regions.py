@@ -292,3 +292,35 @@ def test_negative_or_nan_tol_is_rejected(tol):
     for call in calls:
         with pytest.raises(ValueError, match="tol must be >= 0"):
             call()
+
+
+def _tuple_scaled(t, i, j):
+    """The invariants of (2^i A, 2^j B), exactly."""
+    x, y, z, u, v = t
+    return FiveTuple(math.ldexp(x, i), math.ldexp(y, j), math.ldexp(z, i + j),
+                     math.ldexp(u, 2 * i), math.ldexp(v, 2 * j))
+
+
+_SCALE_TUPLES = [five_tuple(random_pair(np.random.default_rng(s))) for s in range(40)] + [
+    FiveTuple(3, 3, 8, 1, 1), FiveTuple(3, 3, 1, 1, 1), FiveTuple(2, 0, 1, 1, -1)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t=st.sampled_from(_SCALE_TUPLES), i=st.integers(-60, 60), j=st.integers(-60, 60))
+def test_classify_tuple_is_scale_free(t, i, j):
+    # per-matrix scales: every flag and margin bit for bit, at any scale.
+    # (A nilpotent matrix, x = u = 0, has no scale in the invariants.)
+    ref, got = classify_tuple(t), classify_tuple(_tuple_scaled(t, i, j))
+    for attr in FLAGS:
+        assert getattr(got, attr) == getattr(ref, attr), attr
+    assert got.margins == ref.margins
+
+
+def test_classify_tuple_of_a_small_pair_is_not_indeterminate():
+    # the scales were once at least 1, an absolute tolerance below unit scale
+    c = 1e-3
+    ref = classify_tuple(FiveTuple(3, 3, 8, 1, 1))
+    small = classify_tuple(FiveTuple(3 * c, 3 * c, 8 * c * c, c * c, c * c))
+    assert not small.indeterminate and small.in_copar is True
+    for attr in FLAGS:
+        assert getattr(small, attr) == getattr(ref, attr), attr

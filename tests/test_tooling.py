@@ -13,3 +13,18 @@ def test_git_tracks_no_ignored_file():
     out = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
                          capture_output=True, text=True, check=True)
     assert out.stdout == ""
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave its name behind in __all__
+    import importlib
+    import pkgutil
+
+    import smplab
+
+    names = ["smplab"] + [f"smplab.{m.name}" for m in pkgutil.iter_modules(smplab.__path__)]
+    assert len(names) > 10
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+        assert missing == [], name
