@@ -18,7 +18,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .linalg import (
     commutator_invariant,
     five_tuple,
     spectral_radius,
-    word_product,
 )
 from .regions import (AxisKind, classify, classify_arrays, geometric_oracle,
                       monte_carlo_regions)
@@ -58,22 +57,45 @@ class CriterionResult:
     seconds: float
 
 
-def _pairs(rng: np.random.Generator) -> Iterator[MatrixPair]:
-    while True:
-        e = rng.standard_normal(8)
-        yield MatrixPair(Mat2(*e[:4]), Mat2(*e[4:]))
+def _rows(seed_key: list[int], count: int,
+          keep: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """The first ``count`` seeded N(0,1) pair rows that ``keep`` passes.
 
-
-def _filtered_pairs(seed_key: list[int], count: int,
-                    pred: Callable[[MatrixPair], bool]) -> list[MatrixPair]:
+    A row holds A's entries, then B's.  Rows are drawn as (count, 8)
+    blocks and kept by the boolean mask ``keep(block)``.  One (n, 8) draw
+    holds the same doubles as n draws of 8, so these are the pairs a
+    pair-at-a-time filter would select.
+    """
     rng = np.random.default_rng(seed_key)
-    out: list[MatrixPair] = []
-    for p in _pairs(rng):
-        if pred(p):
-            out.append(p)
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable")
+    blocks, found = [], 0
+    while found < count:
+        block = rng.standard_normal((count, 8))
+        if keep is not None:
+            block = block[keep(block)]
+        blocks.append(block)
+        found += len(block)
+    return np.concatenate(blocks)[:count]
+
+
+def _pair(row: np.ndarray) -> MatrixPair:
+    return MatrixPair(Mat2(*row[:4]), Mat2(*row[4:8]))
+
+
+def _words(max_len: int) -> list[str]:
+    """Every binary word of length 1..max_len, shorter words first."""
+    return [format(i, f"0{k}b") for k in range(1, max_len + 1) for i in range(2 ** k)]
+
+
+def _word_products(p: MatrixPair, max_len: int) -> dict[str, Mat2]:
+    """``word_product(p, w)`` for every w in ``_words(max_len)``, in that order.
+
+    Each product is its prefix's product times its last letter, the left
+    association of ``word_product``, so every product keeps its bits.
+    """
+    prods = {"0": p.A, "1": p.B}
+    for w in _words(max_len)[2:]:
+        prods[w] = prods[w[:-1]] @ p.letter(w[-1])
+    return prods
 
 
 def _rel_ok(value: float, target: float, tol: float) -> bool:
@@ -85,12 +107,12 @@ def _rel_ok(value: float, target: float, tol: float) -> bool:
 def crit_01_identity_suite(seed: int = 0) -> CriterionResult:
     """Trace/determinant identities on 10^4 seeded random pairs."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng([seed, 1])
     worst_expr = worst_sum = worst_rank1 = 0.0
     n = 10_000
-    gen = _pairs(rng)
-    for _ in range(n):
-        p = next(gen)
+    # row i: pair i's 8 entries, then 12 for its rank-one check, the order
+    # of n alternating draws of 8 and 12
+    for row in np.random.default_rng([seed, 1]).standard_normal((n, 20)):
+        p = _pair(row)
         x, y, z, u, v = five_tuple(p)
         # the five equal expressions, conditioned on monomial magnitude
         scale = max(1.0, abs(4 * u * v), abs(u * y * y), abs(v * x * x),
@@ -110,7 +132,7 @@ def crit_01_identity_suite(seed: int = 0) -> CriterionResult:
                         abs(lhs - rhs) / max(1.0, abs(u), abs(v), abs(x * y), abs(z)))
 
         # tr(XZYZ) = tr(XZ) tr(YZ) for rank-one Z
-        e = rng.standard_normal(12)
+        e = row[8:]
         xm = Mat2(*e[:4])
         ym = Mat2(*e[4:8])
         zm = Mat2(e[8] * e[10], e[8] * e[11], e[9] * e[10], e[9] * e[11])
@@ -131,28 +153,23 @@ def crit_01_identity_suite(seed: int = 0) -> CriterionResult:
 def crit_02_oracle_equivalence(seed: int = 0) -> CriterionResult:
     """Algebraic classifier vs geometric fixed-point oracle, 10^4 pairs."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng([seed, 2])
     n = 10_000
-    checked = disagree = 0
-    gen = _pairs(rng)
-    while checked < n:
-        p = next(gen)
-        f = classify(p)
-        if f.margins.get("disc_a", -1.0) <= 0 or f.margins.get("disc_b", -1.0) <= 0:
-            continue
-        if abs(f.margins["commutator"]) <= 1e-6:
-            continue
-        checked += 1
-        kind = geometric_oracle(p).kind
-        expected = {
-            AxisKind.CROSSING: f.in_cross is True,
-            AxisKind.CO_PARALLEL: f.in_copar is True,
-            AxisKind.ANTI_PARALLEL: f.in_anti is True,
-            AxisKind.DEGENERATE: (f.in_cross is False and f.in_copar is False
-                                  and f.in_anti is False),
-        }
-        if not expected[kind]:
-            disagree += 1
+
+    def diagonalizable(rows: np.ndarray) -> np.ndarray:
+        m = classify_arrays(rows).margins  # a zero matrix's NaN margins fail too
+        return (m["disc_a"] > 0) & (m["disc_b"] > 0) & (np.abs(m["commutator"]) > 1e-6)
+
+    rows = _rows([seed, 2], n, diagonalizable)
+    f = classify_arrays(rows)
+    expected = {
+        AxisKind.CROSSING: f.in_cross == 1,
+        AxisKind.CO_PARALLEL: f.in_copar == 1,
+        AxisKind.ANTI_PARALLEL: f.in_anti == 1,
+        AxisKind.DEGENERATE: (f.in_cross == 0) & (f.in_copar == 0) & (f.in_anti == 0),
+    }
+    checked = len(rows)
+    disagree = sum(not expected[geometric_oracle(_pair(row)).kind][i]
+                   for i, row in enumerate(rows))
     ok = disagree == 0
     return CriterionResult(
         "02-classifier-oracle-equivalence", ok,
@@ -163,16 +180,22 @@ def crit_02_oracle_equivalence(seed: int = 0) -> CriterionResult:
 
 # ------------------------------------------------------------- criteria 3-5
 
+def _dets(rows: np.ndarray) -> np.ndarray:
+    """(det A, det B) of every row, with ``Mat2.det``'s operations."""
+    m = rows.reshape(-1, 2, 4)
+    return m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2]
+
+
+_REGIONS = {  # the criterion index that seeds each region's rows, and its mask
+    "cross": (3, lambda rows: classify_arrays(rows).in_cross == 1),
+    "neg": (4, lambda rows: (_dets(rows) < 0).all(axis=1)),
+    "mix": (5, lambda rows: _dets(rows).prod(axis=1) < 0),
+}
+
+
 def _region_pairs(seed: int, which: str, count: int = 100) -> list[MatrixPair]:
-    if which == "cross":
-        return _filtered_pairs([seed, 3], count, lambda p: classify(p).in_cross is True)
-    if which == "neg":
-        return _filtered_pairs([seed, 4], count,
-                               lambda p: p.A.det() < 0 and p.B.det() < 0)
-    if which == "mix":
-        return _filtered_pairs([seed, 5], count,
-                               lambda p: p.A.det() * p.B.det() < 0)
-    raise ValueError(which)
+    index, keep = _REGIONS[which]
+    return [_pair(row) for row in _rows([seed, index], count, keep)]
 
 
 def crit_03_crossing(seed: int = 0) -> CriterionResult:
@@ -263,6 +286,7 @@ def crit_06_coparallel(seed: int = 0) -> CriterionResult:
 
     # per-class optimality: best of W(a,b) is a rotation of the slope-b/(a+b)
     # mechanical prefix (a Christoffel power when gcd(a,b) > 1)
+    prods = _word_products(p, 10)
     for total in range(2, 11):
         for b_count in range(1, total):
             a_count = total - b_count
@@ -270,7 +294,7 @@ def crit_06_coparallel(seed: int = 0) -> CriterionResult:
             rotations = {ref[i:] + ref[:i] for i in range(total)}
             best_w, best_v = None, -math.inf
             for w in words_with_counts(a_count, b_count):
-                val = spectral_radius(word_product(p, w))
+                val = spectral_radius(prods[w])
                 if val > best_v:
                     best_w, best_v = w, val
             if best_w not in rotations:
@@ -324,29 +348,22 @@ def crit_07_example_family(seed: int = 0) -> CriterionResult:
 def crit_08_fricke(seed: int = 0) -> CriterionResult:
     """Trace polynomials vs numeric traces; monomial law at u = v = 0."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng([seed, 8])
-    words8 = []
-    for k in range(1, 9):
-        words8.extend("".join(bits) for bits in
-                      (format(i, f"0{k}b") for i in range(2 ** k)))
+    words8 = _words(8)
     polys = {w: fricke_poly(w) for w in words8}
 
     worst = 0.0
-    gen = _pairs(rng)
-    for _ in range(200):
-        p = next(gen)
+    for row in _rows([seed, 8], 200):
+        p = _pair(row)
         t = five_tuple(p)
-        for w in words8:
-            tr = word_product(p, w).trace()
+        for w, prod in _word_products(p, 8).items():
+            tr = prod.trace()
             val = evaluate(polys[w], t)
             worst = max(worst, abs(val - tr) / max(1.0, abs(tr)))
     numeric_ok = worst <= 1e-8
 
     monomial_bad = []
-    for w in words8 + [  # extend to length 9, 10 primitive words
-            "".join(bits) for k in (9, 10)
-            for bits in (format(i, f"0{k}b") for i in range(2 ** k))]:
-        if len(w) > 10 or not is_primitive(w):
+    for w in _words(10):
+        if not is_primitive(w):
             continue
         m, k_, l = signature(w)
         if dict(monomial_at_uv0(w).items()) != {(m - l, k_ - l, l, 0, 0): 1}:
@@ -403,12 +420,9 @@ def crit_09_christoffel_tree(seed: int = 0) -> CriterionResult:
 def crit_10_sandwich(seed: int = 0) -> CriterionResult:
     """lower <= upper per length; norm roots non-increasing k -> 2k."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng([seed, 10])
     bad = []
-    gen = _pairs(rng)
-    for i in range(100):
-        p = next(gen)
-        br = brute_force(p, 10)
+    for i, row in enumerate(_rows([seed, 10], 100)):
+        br = brute_force(_pair(row), 10)
         for k in range(1, 11):
             st = br.per_length[k]
             if st.rho_root > st.norm_root + 1e-12:

@@ -7,10 +7,10 @@ row-major; "-" reads stdin), words are ASCII 0/1 strings, and analysis
 commands accept --batch with newline-delimited pair JSON.  All output
 goes to stdout (floats printed at 15 significant digits for byte-stable
 reruns), diagnostics to stderr.  Exit codes: 0 success, 1 precondition
-violation, 2 I/O or usage error.  In a --batch stream a line that is not
-a pair does not stop the run: it prints {"line": n, "error": "..."} in
-place of its result, the other lines are still analysed, and the exit code
-at the end is 2.
+violation or arithmetic failure, 2 I/O or usage error.  In a --batch
+stream a line that is not a pair does not stop the run: it prints
+{"line": n, "error": "..."} in place of its result, the other lines are
+still analysed, and the exit code at the end is 2.
 ``smplab --version`` prints the version and the scan-kernel backend.
 """
 
@@ -21,20 +21,11 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import FiveTuple, MatrixPair, five_tuple
 
-__all__ = ["RunConfig", "dispatch", "reproduce_all", "main"]
-
-
-@dataclass
-class RunConfig:
-    """A parsed invocation; dispatch() routes it to the library."""
-
-    command: str
-    options: dict = field(default_factory=dict)
+__all__ = ["reproduce_all", "main"]
 
 
 def _round15(obj):
@@ -264,31 +255,6 @@ def _cmd_reproduce(opts) -> int:
     return reproduce_all(opts["seed"], opts.get("only"))
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "jsr": _cmd_jsr,
-    "smp": _cmd_smp,
-    "sturmian": _cmd_sturmian,
-    "lyap": _cmd_lyap,
-    "fricke": _cmd_fricke,
-    "christoffel": _cmd_christoffel,
-    "signature": _cmd_signature,
-    "example": _cmd_example,
-    "realize": _cmd_realize,
-    "symmetrize": _cmd_symmetrize,
-    "montecarlo": _cmd_montecarlo,
-    "reproduce": _cmd_reproduce,
-}
-
-
-def dispatch(config: RunConfig) -> int:
-    """Route a parsed invocation; exit code semantics as documented."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    return handler(config.options)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__, kernels
 
@@ -300,63 +266,69 @@ def _build_parser() -> argparse.ArgumentParser:
                      version=f"smplab {__version__} (kernels: {kernels.BACKEND})")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_pair(p, batch=False):
         p.add_argument("--pair", help="pair JSON file ('-' for stdin)")
         if batch:
             p.add_argument("--batch", help="newline-delimited pair JSON file")
 
-    p = sub.add_parser("classify", help="region flags and margins")
+    p = add("classify", _cmd_classify, help="region flags and margins")
     add_pair(p, batch=True)
     p.add_argument("--tuple", nargs="?", const=True, default=None,
                    help="classify a 5-tuple x,y,z,u,v (bare flag: classify "
                         "the --pair through its invariants)")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("jsr", help="brute-force bounds report")
+    p = add("jsr", _cmd_jsr, help="brute-force bounds report")
     add_pair(p, batch=True)
     p.add_argument("--max-len", type=int, default=12, dest="max_len")
     p.add_argument("--norm", default="euclid", choices=["euclid"])
 
-    p = sub.add_parser("smp", help="certified or candidate optimal product")
+    p = add("smp", _cmd_smp, help="certified or candidate optimal product")
     add_pair(p, batch=True)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("sturmian", help="maximize the Sturmian parameter (co-parallel)")
+    p = add("sturmian", _cmd_sturmian,
+            help="maximize the Sturmian parameter (co-parallel)")
     add_pair(p)
     p.add_argument("--resolution", type=_parse_fraction, default=Fraction(1, 1024))
 
-    p = sub.add_parser("lyap", help="Lyapunov value of one Sturmian slope")
+    p = add("lyap", _cmd_lyap, help="Lyapunov value of one Sturmian slope")
     add_pair(p)
     p.add_argument("--gamma", required=True,
                    help="slope as p/q (exact) or a decimal (convergent approximation)")
     p.add_argument("--depth", type=int, default=12,
                    help="convergent depth for decimal slopes")
 
-    p = sub.add_parser("fricke", help="integer trace polynomial of a word")
+    p = add("fricke", _cmd_fricke, help="integer trace polynomial of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--at", help="evaluate at 5-tuple x,y,z,u,v")
 
-    p = sub.add_parser("christoffel", help="Christoffel word or tree")
+    p = add("christoffel", _cmd_christoffel, help="Christoffel word or tree")
     p.add_argument("--slope", help="p/q in lowest terms")
     p.add_argument("--tree", type=int, help="print the tree to this depth")
 
-    p = sub.add_parser("signature", help="(zeros, ones, 01-count) of a word")
+    p = add("signature", _cmd_signature, help="(zeros, ones, 01-count) of a word")
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("example", help="invariant-polygon family member")
+    p = add("example", _cmd_example, help="invariant-polygon family member")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-len", type=int, default=None, dest="max_len")
 
-    p = sub.add_parser("realize", help="matrices attaining a 5-tuple")
+    p = add("realize", _cmd_realize, help="matrices attaining a 5-tuple")
     p.add_argument("--tuple", required=True)
 
-    p = sub.add_parser("symmetrize", help="symmetric form of a crossing pair")
+    p = add("symmetrize", _cmd_symmetrize, help="symmetric form of a crossing pair")
     add_pair(p)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser(
-        "montecarlo", help="region frequencies as CSV",
+    p = add(
+        "montecarlo", _cmd_montecarlo, help="region frequencies as CSV",
         description="CSV columns: region,count. Rows: cross, mix, neg, copar, "
                     "anti, complex, reducible, indeterminate, union4, "
                     "cross&mix, cross&neg, copar&cross, total.")
@@ -364,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dist", default="normal", choices=["normal", "uniform01"])
 
-    p = sub.add_parser("reproduce", help="run the acceptance criteria")
+    p = add("reproduce", _cmd_reproduce, help="run the acceptance criteria")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--list", action="store_true", help="print criterion names only")
     p.add_argument("--only", nargs="*", help="restrict to these criterion names")
@@ -372,15 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(command=args.command,
-                       options={k: v for k, v in vars(args).items() if k != "command"})
+    opts = vars(_build_parser().parse_args(argv))
     try:
-        return dispatch(config)
+        return opts.pop("handler")(opts)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

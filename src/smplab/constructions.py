@@ -126,8 +126,9 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
     with d = x^2 - 4u > 0 and the commutator quintic positive, the
     conjugate pair is diag((x +- sqrt(d))/2) and the symmetric B with
     off-diagonal sqrt(quintic / d).  The five invariants are preserved.
-    It runs on ``unit_scaled(p)`` and scales the result back exactly, so
-    no pair is refused for its scale.
+    It runs on ``unit_scaled(p)`` and scales the result back exactly, and
+    d is measured against A's own scale, as ``classify_tuple`` does, so no
+    pair is refused for its scale or for A's scale relative to B's.
     """
     q, e = unit_scaled(p)
     flags = classify(q, tol)
@@ -137,7 +138,7 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
                          f"margins = {flags.margins}")
     x, y, z, u, v = five_tuple(q)
     d = x * x - 4.0 * u
-    scale = max(1.0, x * x, 4.0 * abs(u))
+    scale = max(x * x, 4.0 * abs(u))
     if d <= tol * scale:
         raise ValueError(f"x^2 - 4u is too small to symmetrize: margin {d / scale:.3e}")
     rd = math.sqrt(d)

@@ -1,8 +1,16 @@
 """Acceptance gate: one test per exit criterion, printing its detail line."""
 
+from pathlib import Path
+
 import pytest
 
 from smplab.acceptance import CRITERIA
+
+# "name: detail" per criterion at seed 0, printed before the criteria drew
+# their pairs as numpy blocks and read word products from a prefix table
+GOLDEN_DETAILS = dict(
+    line.split(": ", 1) for line in
+    (Path(__file__).parent / "golden" / "reproduce_seed0.txt").read_text().splitlines())
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -11,6 +19,7 @@ def test_criterion(name, fn):
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} {result.name} ({result.seconds:.1f}s): {result.detail}")
     assert result.passed, result.detail
+    assert result.detail == GOLDEN_DETAILS[name]
 
 
 def test_seed_variation_does_not_matter_for_fixed_criteria():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,18 +195,42 @@ def test_version_names_the_kernel_backend(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = str(GOLDEN / "pairs.ndjson")
+COPAR = str(GOLDEN / "realize_3_3_8_1_1.json")  # the pair realize prints
+CROSSING = str(GOLDEN / "crossing_pair.json")  # the first crossing N(0,1) pair
+
+# (argv, file holding its expected stdout); every subcommand has a case
+GOLDEN_CASES = [
+    (["jsr", "--max-len", "12", "--batch", CORPUS], "jsr_max_len_12.ndjson"),
+    (["jsr", "--max-len", "18", "--batch", CORPUS], "jsr_max_len_18.ndjson"),
+    (["smp", "--batch", CORPUS], "smp.ndjson"),
+    (["classify", "--pair", CROSSING], "classify_crossing_pair.json"),
+    (["sturmian", "--pair", COPAR, "--resolution", "1/64"], "sturmian_3_3_8_1_1_res64.json"),
+    (["lyap", "--pair", COPAR, "--gamma", "2/5"], "lyap_3_3_8_1_1_gamma_2_5.txt"),
+    (["lyap", "--pair", COPAR, "--gamma", "0.381966"], "lyap_3_3_8_1_1_gamma_0.381966.txt"),
+    (["fricke", "--word", "0011"], "fricke_0011.txt"),
+    (["fricke", "--word", "0011", "--at", "3,3,8,1,1"], "fricke_0011_at_3_3_8_1_1.txt"),
+    (["christoffel", "--slope", "2/5"], "christoffel_slope_2_5.txt"),
+    (["christoffel", "--tree", "3"], "christoffel_tree_3.json"),
+    (["signature", "--word", "00101"], "signature_00101.txt"),
+    (["example", "--n", "3", "--verify"], "example_n3_verify.json"),
+    (["realize", "--tuple", "3,3,8,1,1"], "realize_3_3_8_1_1.json"),
+    (["symmetrize", "--pair", CROSSING], "symmetrize_crossing_pair.json"),
+    (["montecarlo", "--seed", "5", "--samples", "1000", "--dist", "uniform01"],
+     "montecarlo_seed5_uniform01_1000.csv"),
+    # criterion detail lines: golden/reproduce_seed0.txt in test_acceptance
+    (["reproduce", "--list"], "reproduce_list.txt"),
+]
 
 
-@pytest.mark.parametrize("args, expected", [
-    (["jsr", "--max-len", "12"], "jsr_max_len_12.ndjson"),
-    (["jsr", "--max-len", "18"], "jsr_max_len_18.ndjson"),
-    (["smp"], "smp.ndjson"),
-])
+@pytest.mark.parametrize("args, expected", GOLDEN_CASES)
 def test_golden_corpus_stdout_is_byte_identical(capsys, args, expected):
     # golden/pairs.ndjson: 14 pairs with max norm >= 1 across the certify
-    # routes; the expected files were printed by the letter-by-letter numpy
-    # kernels that the product-tree kernels replaced.
-    code, out, _ = run_cli(capsys, *args, "--batch", str(GOLDEN / "pairs.ndjson"))
+    # routes; the jsr and smp files were printed by the letter-by-letter
+    # numpy kernels that the product-tree kernels replaced, the other
+    # commands' files by the code before the acceptance suite used
+    # classify_arrays.
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert out == (GOLDEN / expected).read_text()
 
@@ -251,3 +278,16 @@ def test_negative_or_nan_tol_exits_1_with_an_error_line(tmp_path, capsys, tol):
         code, out, err = run_cli(capsys, *args, "--tol", tol)
         assert (code, out) == (1, ""), args
         assert err.startswith("error: tol must be >= 0"), args
+
+
+def test_smp_overflow_exits_1_with_an_error_line_and_no_traceback(tmp_path):
+    # the JSR of this pair is above the largest double: certify's exact
+    # scale-back raises OverflowError, which once escaped main
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"A": [[1e308, 1e308], [1e308, 1e308]],
+                             "B": [[1e308, 0.0], [0.0, 1e307]]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "smplab.cli", "smp", "--pair", str(f)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -298,3 +298,15 @@ def test_symmetrize_is_scale_covariant(p, k):
     c = 10.0 ** k
     sym = symmetrize(MatrixPair(p.A * c, p.B * c))
     assert _tuples_close(_invariants_scaled_back(sym, c), five_tuple(p))
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-8])
+def test_symmetrize_accepts_crossing_pairs_whose_matrices_differ_in_scale(c):
+    # x^2 - 4u was once measured against the pair's largest entry, not A's
+    # own scale: with A alone scaled, 58 of these 72 pairs were refused at
+    # 1e-5 and all 72 at 1e-8, though classify calls every one crossing
+    for p in _CROSSING:
+        q = MatrixPair(p.A * c, p.B)
+        assert classify(q).in_cross is True
+        x, y, z, u, v = five_tuple(symmetrize(q))
+        assert _tuples_close((x / c, y, z / c, u / c / c, v), five_tuple(p))

@@ -28,3 +28,17 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_every_subcommand_has_a_golden_stdout_case():
+    import argparse
+
+    from smplab.cli import _build_parser
+    from test_cli import GOLDEN, GOLDEN_CASES
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) > 10
+    covered = {args[0] for args, _ in GOLDEN_CASES}
+    assert sorted(set(sub.choices) - covered) == []
+    assert all((GOLDEN / expected).is_file() for _, expected in GOLDEN_CASES)
