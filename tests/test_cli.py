@@ -198,6 +198,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CORPUS = str(GOLDEN / "pairs.ndjson")
 COPAR = str(GOLDEN / "realize_3_3_8_1_1.json")  # the pair realize prints
 CROSSING = str(GOLDEN / "crossing_pair.json")  # the first crossing N(0,1) pair
+# realize --tuple 2.2,8,13,1,1: rho(B) dominates, so the Sturmian argmax runs
+# to gamma -> 1, the longest descent (2051 samples at 1/1024)
+COPAR_GAMMA1 = str(GOLDEN / "copar_gamma1_pair.json")
 
 # (argv, file holding its expected stdout); every subcommand has a case
 GOLDEN_CASES = [
@@ -206,6 +209,9 @@ GOLDEN_CASES = [
     (["smp", "--batch", CORPUS], "smp.ndjson"),
     (["classify", "--pair", CROSSING], "classify_crossing_pair.json"),
     (["sturmian", "--pair", COPAR, "--resolution", "1/64"], "sturmian_3_3_8_1_1_res64.json"),
+    (["sturmian", "--pair", COPAR_GAMMA1, "--resolution", "1/1024"],
+     "sturmian_copar_gamma1_res1024.json"),
+    (["smp", "--pair", COPAR_GAMMA1], "smp_copar_gamma1.json"),
     (["lyap", "--pair", COPAR, "--gamma", "2/5"], "lyap_3_3_8_1_1_gamma_2_5.txt"),
     (["lyap", "--pair", COPAR, "--gamma", "0.381966"], "lyap_3_3_8_1_1_gamma_0.381966.txt"),
     (["fricke", "--word", "0011"], "fricke_0011.txt"),
