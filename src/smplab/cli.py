@@ -252,6 +252,11 @@ def _cmd_reproduce(opts) -> int:
         for name in criterion_names():
             print(name)
         return 0
+    unknown = sorted(set(opts.get("only") or ()) - set(criterion_names()))
+    if unknown:
+        print(f"error: unknown criterion name(s) {', '.join(unknown)}; "
+              f"valid names: {', '.join(criterion_names())}", file=sys.stderr)
+        return 2
     return reproduce_all(opts["seed"], opts.get("only"))
 
 

@@ -16,9 +16,20 @@ of the input (or expose numerical breakdown).
 Cost model.  Every descent sample is the mediant l (+) r of two evaluated
 Stern-Brocot neighbours, and Christoffel words factor as
 C(l (+) r) = C(l) C(r), so a sample costs one 2x2 multiply of the two
-stored (renormalized) cycle products.  The audit compares all n(n-1)/2
-sample pairs by exact reduced integer midpoint keys, vectorized in
-blocks of rows so memory stays O(n * block).  Values can differ from the
+stored (renormalized) cycle products.  The audit is O(n): it takes the
+upper concave hull H of the samples sorted by slope (Andrew's monotone
+chain) and the largest distance delta of a sample below it.  Whenever
+t1 < t2 have a sample midpoint m,
+
+    f(m) >= H(m) - delta >= (H(t1) + H(t2))/2 - delta >= (f(t1) + f(t2))/2 - delta,
+
+so delta plus a rounding allowance below tol/2 proves that no pair
+violates concavity by tol (``_sorted_audit``).  Only otherwise (a -inf
+sample, a real violation, a tol too small for the allowance, or slopes
+with 17-bit numerators or denominators) does the exact pass run: it
+compares all n(n-1)/2 sample pairs by exact reduced integer midpoint
+keys, vectorized in blocks of rows so memory stays O(n * block), and it
+gives the violation list either way.  Values can differ from the
 letter-by-letter product of ``lyapunov_rational`` in the last bits
 (below 1e-13 relative on the checked pairs); grids and argmax do not.
 """
@@ -26,9 +37,9 @@ letter-by-letter product of ``lyapunov_rational`` in the last bits
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple
 
 import numpy as np
@@ -152,28 +163,75 @@ def lyapunov_irrational(p: MatrixPair, gamma: float, depth: int) -> IrrationalEs
     return IrrationalEstimate(values[-1], abs(values[-1] - values[-2]), convs[-1])
 
 
-_AUDIT_ROWS = 64  # rows of the pair table held at once in _audit
+_AUDIT_ROWS = 64  # rows of the pair table held at once in _pairwise_audit
+_HULL_MAX_INT = 2**17  # |num|, den below this keep the hull's integers exact
+_U = 2.0 ** -53  # unit roundoff of a double
 
 
-def _audit(samples: dict[Fraction, float],
-           tol: float) -> list[tuple[Fraction, Fraction, float]]:
-    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints.
+def _hull_spread(num: list[int], den: list[int], vals: list[float]) -> float:
+    """Spread max D - min D of the samples below a concave polyline H.
 
-    Every pair t1 < t2 of sorted slopes is keyed by its exact midpoint
-    (n1*d2 + n2*d1) / (2*d1*d2), reduced with gcd and looked up among the
-    sample keys.  Pairs are scanned in blocks of rows, so memory stays
-    O(n * block); violations come out in (t1, t2) order.
+    ``num/den`` are the slopes in increasing order and D_i = H(t_i) - f_i.
+    H is Andrew's monotone chain over the samples (a stack, O(n) on sorted
+    input), except that a vertex b stays only when the turn a, b, c is
+    certainly concave: slope(a, b) > slope(b, c), cross-multiplied by
+    den_a den_b den_c > 0, is
+
+        L = (f_b - f_a) * (d_a (n_c d_b - n_b d_c))
+          > R = (f_c - f_b) * (d_c (n_b d_a - n_a d_b)),
+
+    whose integer factors are exact doubles below 2^52.  Each side is two
+    roundings from its exact value, so ``L - R > 4u (|L| + |R|)`` (u the
+    unit roundoff) implies the exact inequality, and H is concave exactly.
+    A vertex dropped without certainty may end a little above H, which
+    min D pays for.  Between vertices a <= i <= b,
+
+        D_i = (f_a - f_i) + (f_b - f_a) * lam,
+        lam = (t_i - t_a) / (t_b - t_a) = (n_i d_a - n_a d_i) d_b / ((n_b d_a - n_a d_b) d_i)
+
+    with lam in [0, 1] from one division of exact integers.  With
+    F = max |f_i|, the five roundings in D_i leave it within 12.001 u F of
+    its exact value (2uF from f_a - f_i, 6uF from the product, 4uF from the
+    sum), so the exact spread is at most the returned one plus 24.01 u F.
+    The result is inf or nan when some step overflowed.
     """
-    gammas = sorted(samples)
-    n = len(gammas)
-    max_den = max((g.denominator for g in gammas), default=1)
+    hull: list[int] = []
+    for k in range(len(vals)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            lhs = (vals[b] - vals[a]) * (den[a] * (num[k] * den[b] - num[b] * den[k]))
+            rhs = (vals[k] - vals[b]) * (den[k] * (num[b] * den[a] - num[a] * den[b]))
+            if lhs - rhs > 4 * _U * (abs(lhs) + abs(rhs)):
+                break
+            hull.pop()
+        hull.append(k)
+    p, q, f = np.array(num), np.array(den), np.array(vals)
+    v = np.array(hull)
+    # the hull edge (a, b) over each sample; a vertex gets lam = 0 or 1
+    seg = np.minimum(np.searchsorted(v, np.arange(len(f)), side="right"), len(v) - 1)
+    a, b = v[seg - 1], v[seg]
+    lam = ((p * q[a] - p[a] * q) * q[b]) / ((p[b] * q[a] - p[a] * q[b]) * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = (f[a] - f) + (f[b] - f[a]) * lam
+        return float(below.max() - below.min())
+
+
+def _pairwise_audit(num: list[int], den: list[int], vals: list[float],
+                    tol: float) -> list[tuple[Fraction, Fraction, float]]:
+    """The exact audit: every pair t1 < t2 of the sorted slopes is keyed
+    by its exact midpoint (n1*d2 + n2*d1) / (2*d1*d2), reduced with gcd and
+    looked up among the sample keys.  Pairs are scanned in blocks of rows,
+    so memory stays O(n * block); violations come out in (t1, t2) order.
+    """
+    n = len(vals)
+    max_den = max(den, default=1)
     # 2*d1*d2 must fit in int64; larger denominators use exact Python ints
     dtype = np.int64 if max_den < 2**31 else object
-    num = np.array([g.numerator for g in gammas], dtype=dtype)
-    den = np.array([g.denominator for g in gammas], dtype=dtype)
-    vals = np.array([samples[g] for g in gammas], dtype=float)
+    num_a = np.array(num, dtype=dtype)
+    den_a = np.array(den, dtype=dtype)
+    vals_a = np.array(vals, dtype=float)
     base = max_den + 1  # key = num * base + den is unique for den <= max_den
-    keys = num * base + den
+    keys = num_a * base + den_a
     order = np.argsort(keys)
     sorted_keys = keys[order]
 
@@ -182,8 +240,8 @@ def _audit(samples: dict[Fraction, float],
     for i0 in range(0, n - 2, _AUDIT_ROWS):
         rows = np.arange(i0, min(i0 + _AUDIT_ROWS, n - 2))
         cols = np.arange(i0 + 2, n)
-        n1, d1 = num[rows, None], den[rows, None]
-        n2, d2 = num[cols], den[cols]
+        n1, d1 = num_a[rows, None], den_a[rows, None]
+        n2, d2 = num_a[cols], den_a[cols]
         mid_num = n1 * d2 + n2 * d1
         mid_den = 2 * d1 * d2
         g = np.gcd(mid_num, mid_den)
@@ -197,10 +255,59 @@ def _audit(samples: dict[Fraction, float],
         hi, hj = np.nonzero(hit)
         i, j = rows[hi], cols[hj]
         with np.errstate(invalid="ignore"):  # -inf ends on both sides give nan
-            excess = (vals[i] + vals[j]) / 2 - vals[order[pos[hi, hj]]]
+            excess = (vals_a[i] + vals_a[j]) / 2 - vals_a[order[pos[hi, hj]]]
         for k in np.nonzero(excess >= tol)[0]:
-            violations.append((gammas[i[k]], gammas[j[k]], float(excess[k])))
+            a, b = int(i[k]), int(j[k])
+            violations.append((Fraction(num[a], den[a]), Fraction(num[b], den[b]),
+                               float(excess[k])))
     return violations
+
+
+def _sorted_audit(num: list[int], den: list[int], vals: list[float],
+                  tol: float) -> list[tuple[Fraction, Fraction, float]]:
+    """``_audit`` on slopes num/den already in increasing order, in lowest
+    terms, with their values.
+
+    Hull certificate first.  Let H be any concave function and
+    D_i = H(t_i) - f_i.  For t1 < t2 whose midpoint m is a sample,
+
+        (f1 + f2)/2 - f(m) = (H1 + H2)/2 - H(m) + D(m) - (D1 + D2)/2
+                           <= max D - min D,
+
+    as H(m) >= (H1 + H2)/2.  For the upper concave hull min D = 0 and
+    max D = delta, the largest distance of a sample below it.
+    ``_hull_spread`` bounds max D - min D to within 24.01 u F (F = max |f|,
+    u the unit roundoff).  The exact pass below rounds the excess
+    (f1 + f2)/2 - f(m) to within about u F + u |excess|.  So when every
+    value is finite, every slope has |num|, den < 2^17, and
+
+        spread + 32 u F + (smallest normal double) < tol / 2
+
+    holds in doubles, the exact pass would find no excess >= tol, and the
+    list is empty.  The factor 2 in tol / 2, and 32 against 25.01, leave
+    room for the roundings of this test itself; the last term covers the
+    absolute error of underflow.  So a negative tol, or one below about
+    64 u F, always takes the exact pass; so does a grid with a -inf value.
+    """
+    if (len(vals) >= 3 and max(den) < _HULL_MAX_INT
+            and max(map(abs, num)) < _HULL_MAX_INT and all(map(math.isfinite, vals))):
+        scale = 32 * _U * max(map(abs, vals))
+        if _hull_spread(num, den, vals) + scale + sys.float_info.min < tol / 2:
+            return []
+    return _pairwise_audit(num, den, vals, tol)
+
+
+def _audit(samples: dict[Fraction, float],
+           tol: float) -> list[tuple[Fraction, Fraction, float]]:
+    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints.
+
+    Returns the violations (t1, t2, excess) with excess >= tol, in
+    (t1, t2) order.  An O(n) upper-hull certificate decides most grids;
+    the exact pairwise pass runs only when it cannot (``_sorted_audit``).
+    """
+    gammas = sorted(samples)
+    return _sorted_audit([g.numerator for g in gammas], [g.denominator for g in gammas],
+                         [samples[g] for g in gammas], tol)
 
 
 def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
@@ -218,7 +325,14 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
 
     Every sample is the mediant a (+) b of evaluated neighbours a < b, and
     the Christoffel factorization C(a (+) b) = C(a) C(b) makes its cycle
-    product P(a) @ P(b): one 2x2 multiply, then ``renormalized``.
+    product P(a) @ P(b): one 2x2 multiply, then ``renormalized``.  No
+    sample lies between a and b before their mediant (any fraction between
+    Stern-Brocot neighbours descends from it), so linking each new sample
+    between a and b keeps the samples in slope order without a sort.  The
+    audit gets them in that order and decides in O(n) by the hull
+    certificate of ``_sorted_audit``, with the exact pairwise pass only when
+    the certificate fails: the violations, and so the report, are the same
+    as the exact pass alone gives.  Each grid Fraction is built once.
     """
     flags = classify(p)
     if flags.in_copar is not True:
@@ -231,9 +345,11 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
     resolution = Fraction(resolution)
     res_num, res_den = resolution.numerator, resolution.denominator
 
-    # slope (num, den) -> cycle product as (matrix, logscale), and f there
+    # slope (num, den) -> cycle product as (matrix, logscale), f there, and
+    # the next larger sample
     products: dict[tuple[int, int], tuple[Mat2, float]] = {}
     values: dict[tuple[int, int], float] = {}
+    after: dict[tuple[int, int], tuple[int, int]] = {}
 
     def store(g: tuple[int, int], prod: Mat2, logscale: float) -> None:
         products[g] = (prod, logscale)
@@ -246,11 +362,14 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
         if g not in values:
             (pa, la), (pb, lb) = products[a], products[b]
             store(g, *renormalized(pa @ pb, la + lb))
+            # no sample lies between the neighbours a < b before their mediant
+            after[a], after[g] = g, b
         return g
 
     left, right = (0, 1), (1, 1)
     store(left, *scaled_letter(p.A))
     store(right, *scaled_letter(p.B))
+    after[left] = right
     mid = sample(left, right)
     # right - left >= resolution, cross-multiplied
     while (right[0] * left[1] - left[0] * right[1]) * res_den >= res_num * left[1] * right[1]:
@@ -264,15 +383,17 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
         else:
             left, right = ml, mr
 
-    # sorted by slope through exact cross-multiplication, cheaper than Fraction
-    order = sorted(values, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    samples = {Fraction(*g): values[g] for g in order}
-    violations = _audit(samples, audit_tol)
+    order = [(0, 1)]
+    while order[-1] != (1, 1):
+        order.append(after[order[-1]])
+    vals = [values[g] for g in order]
+    violations = _sorted_audit([g[0] for g in order], [g[1] for g in order],
+                               vals, audit_tol)
     if violations:
         raise ConcavityViolation(violations)
 
-    grid = [LyapunovSample(g, val, nilpotent=math.isinf(val))
-            for g, val in samples.items()]
+    grid = [LyapunovSample(Fraction(*g), val, nilpotent=math.isinf(val))
+            for g, val in zip(order, vals)]
     return ConcavityReport(grid=grid, midpoint_violations=[],
                            argmax_gamma=Fraction(*mid), max_value=values[mid])
 

@@ -160,6 +160,19 @@ def test_reproduce_list(capsys):
     assert names[0] == "01-identity-suite"
 
 
+def test_reproduce_only_unknown_name_is_a_usage_error(capsys, monkeypatch):
+    # a misspelled name once ran nothing, printed nothing and exited 0
+    import smplab.cli
+
+    monkeypatch.setattr(smplab.cli, "reproduce_all",
+                        lambda *a: pytest.fail("no criterion may run"))
+    code, out, err = run_cli(capsys, "reproduce", "--only", "01-identity-suite",
+                             "02-classifier", "zz")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown criterion name(s) 02-classifier, zz;")
+    assert "01-identity-suite, 02-classifier-oracle" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--pair", str(tmp_path / "missing.json"))
     assert code == 2

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair
 from smplab import sturmian
@@ -287,6 +289,40 @@ def test_audit_matches_reference_on_random_grids():
             samples = {farey[k]: float(v) for k, v in zip(picks, values)}
             for tol in (1e-10, -0.5):
                 assert _audit(samples, tol) == _reference_audit(samples, tol)
+
+
+def test_audit_hull_shortcut_matches_reference():
+    # a concave quadratic on a random part of a Farey sequence, plus uniform
+    # noise whose spread straddles tol / 2, and sometimes -inf values: the
+    # hull certificate may only answer [] where the exact pass would.  A
+    # flat quadratic bends by less than tol, so the noise decides the audit.
+    paths = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(order=st.integers(2, 14), keep=st.floats(0.3, 1.0),
+           curve=st.tuples(st.floats(0, 5), st.floats(-2, 2), st.floats(-3, 3)),
+           flat=st.booleans(), tol=st.sampled_from([1e-10, 1e-4, -1e-4]),
+           noise=st.floats(0, 2), infs=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def check(order, keep, curve, flat, tol, noise, infs, seed):
+        rng = np.random.default_rng(seed)
+        farey = sorted({Fraction(a, q) for q in range(1, order + 1) for a in range(q + 1)})
+        gammas = [g for g in farey if rng.random() < keep] or farey
+        c, slope, off = curve
+        if flat:
+            c *= abs(tol)
+        t = np.array([float(g) for g in gammas])
+        values = off + slope * t - c * (t - 0.5) ** 2
+        values += rng.uniform(-noise, noise, len(t)) * abs(tol)
+        values[rng.choice(len(t), size=min(infs, len(t)), replace=False)] = -math.inf
+        samples = {g: float(v) for g, v in zip(gammas, values)}
+        with mock.patch.object(sturmian, "_pairwise_audit",
+                               wraps=sturmian._pairwise_audit) as exact:
+            got = _audit(samples, tol)
+        paths.add("exact" if exact.called else "hull")
+        assert got == _reference_audit(samples, tol)
+
+    check()
+    assert paths == {"hull", "exact"}
 
 
 def test_audit_exact_beyond_int64_denominators():

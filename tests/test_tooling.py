@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -42,3 +43,50 @@ def test_every_subcommand_has_a_golden_stdout_case():
     covered = {args[0] for args, _ in GOLDEN_CASES}
     assert sorted(set(sub.choices) - covered) == []
     assert all((GOLDEN / expected).is_file() for _, expected in GOLDEN_CASES)
+
+
+
+def _call_name(node):
+    """``f`` for a call ``f(...)`` or ``mod.f(...)``, else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def _settings_keywords(node, named):
+    """Keywords of a ``settings(...)`` decorator or of a module-level name
+    bound to one (``named``); None for any other decorator."""
+    if isinstance(node, ast.Name):
+        return named.get(node.id)
+    if _call_name(node) != "settings":
+        return None
+    keywords = {}
+    for arg in node.args:  # settings(parent, ...) starts from the parent's
+        keywords.update(_settings_keywords(arg, named) or {})
+    keywords.update({k.arg: k.value for k in node.keywords})
+    return keywords
+
+
+def test_every_property_test_is_derandomized_without_a_database():
+    # tier-1 must not depend on a random draw or on examples a previous run saved
+    found = 0
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                keywords = _settings_keywords(stmt.value, named)
+                if keywords is not None:
+                    named[stmt.targets[0].id] = keywords
+        for fn in ast.walk(tree):
+            decorators = getattr(fn, "decorator_list", [])
+            if "given" not in map(_call_name, decorators):
+                continue
+            found += 1
+            keywords = {}
+            for d in decorators:
+                keywords.update(_settings_keywords(d, named) or {})
+            flags = {k: getattr(keywords.get(k), "value", "unset")
+                     for k in ("derandomize", "database")}
+            assert flags == {"derandomize": True, "database": None}, f"{path.name}::{fn.name}"
+    assert found >= 8
