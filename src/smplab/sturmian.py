@@ -192,7 +192,8 @@ def _hull_spread(num: list[int], den: list[int], vals: list[float]) -> float:
     with lam in [0, 1] from one division of exact integers.  With
     F = max |f_i|, the five roundings in D_i leave it within 12.001 u F of
     its exact value (2uF from f_a - f_i, 6uF from the product, 4uF from the
-    sum), so the exact spread is at most the returned one plus 24.01 u F.
+    sum), so the exact spread is at most (1 + u) times the returned one
+    plus 24.01 u F.
     The result is inf or nan when some step overflowed.
     """
     hull: list[int] = []
@@ -227,11 +228,11 @@ def _pairwise_audit(num: list[int], den: list[int], vals: list[float],
     max_den = max(den, default=1)
     # 2*d1*d2 must fit in int64; larger denominators use exact Python ints
     dtype = np.int64 if max_den < 2**31 else object
-    num_a = np.array(num, dtype=dtype)
-    den_a = np.array(den, dtype=dtype)
-    vals_a = np.array(vals, dtype=float)
+    num = np.array(num, dtype=dtype)
+    den = np.array(den, dtype=dtype)
+    vals = np.array(vals, dtype=float)
     base = max_den + 1  # key = num * base + den is unique for den <= max_den
-    keys = num_a * base + den_a
+    keys = num * base + den
     order = np.argsort(keys)
     sorted_keys = keys[order]
 
@@ -240,8 +241,8 @@ def _pairwise_audit(num: list[int], den: list[int], vals: list[float],
     for i0 in range(0, n - 2, _AUDIT_ROWS):
         rows = np.arange(i0, min(i0 + _AUDIT_ROWS, n - 2))
         cols = np.arange(i0 + 2, n)
-        n1, d1 = num_a[rows, None], den_a[rows, None]
-        n2, d2 = num_a[cols], den_a[cols]
+        n1, d1 = num[rows, None], den[rows, None]
+        n2, d2 = num[cols], den[cols]
         mid_num = n1 * d2 + n2 * d1
         mid_den = 2 * d1 * d2
         g = np.gcd(mid_num, mid_den)
@@ -255,11 +256,10 @@ def _pairwise_audit(num: list[int], den: list[int], vals: list[float],
         hi, hj = np.nonzero(hit)
         i, j = rows[hi], cols[hj]
         with np.errstate(invalid="ignore"):  # -inf ends on both sides give nan
-            excess = (vals_a[i] + vals_a[j]) / 2 - vals_a[order[pos[hi, hj]]]
+            excess = (vals[i] + vals[j]) / 2 - vals[order[pos[hi, hj]]]
         for k in np.nonzero(excess >= tol)[0]:
-            a, b = int(i[k]), int(j[k])
-            violations.append((Fraction(num[a], den[a]), Fraction(num[b], den[b]),
-                               float(excess[k])))
+            t1, t2 = (Fraction(int(num[m]), int(den[m])) for m in (i[k], j[k]))
+            violations.append((t1, t2, float(excess[k])))
     return violations
 
 
@@ -276,7 +276,7 @@ def _sorted_audit(num: list[int], den: list[int], vals: list[float],
 
     as H(m) >= (H1 + H2)/2.  For the upper concave hull min D = 0 and
     max D = delta, the largest distance of a sample below it.
-    ``_hull_spread`` bounds max D - min D to within 24.01 u F (F = max |f|,
+    ``_hull_spread`` bounds max D - min D to within about 24.01 u F (F = max |f|,
     u the unit roundoff).  The exact pass below rounds the excess
     (f1 + f2)/2 - f(m) to within about u F + u |excess|.  So when every
     value is finite, every slope has |num|, den < 2^17, and

@@ -246,9 +246,10 @@ GOLDEN_CASES = [
 def test_golden_corpus_stdout_is_byte_identical(capsys, args, expected):
     # golden/pairs.ndjson: 14 pairs with max norm >= 1 across the certify
     # routes; the jsr and smp files were printed by the letter-by-letter
-    # numpy kernels that the product-tree kernels replaced, the other
-    # commands' files by the code before the acceptance suite used
-    # classify_arrays.
+    # numpy kernels that the product-tree kernels replaced, the gamma -> 1
+    # sturmian and smp files by the all-pairs concavity audit that the hull
+    # certificate replaced, the other commands' files by the code before
+    # the acceptance suite used classify_arrays.
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert out == (GOLDEN / expected).read_text()

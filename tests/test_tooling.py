@@ -45,7 +45,6 @@ def test_every_subcommand_has_a_golden_stdout_case():
     assert all((GOLDEN / expected).is_file() for _, expected in GOLDEN_CASES)
 
 
-
 def _call_name(node):
     """``f`` for a call ``f(...)`` or ``mod.f(...)``, else None."""
     if isinstance(node, ast.Call):
