@@ -222,9 +222,6 @@ GOLDEN_CASES = [
     (["smp", "--batch", CORPUS], "smp.ndjson"),
     (["classify", "--pair", CROSSING], "classify_crossing_pair.json"),
     (["sturmian", "--pair", COPAR, "--resolution", "1/64"], "sturmian_3_3_8_1_1_res64.json"),
-    (["sturmian", "--pair", COPAR_GAMMA1, "--resolution", "1/1024"],
-     "sturmian_copar_gamma1_res1024.json"),
-    (["smp", "--pair", COPAR_GAMMA1], "smp_copar_gamma1.json"),
     (["lyap", "--pair", COPAR, "--gamma", "2/5"], "lyap_3_3_8_1_1_gamma_2_5.txt"),
     (["lyap", "--pair", COPAR, "--gamma", "0.381966"], "lyap_3_3_8_1_1_gamma_0.381966.txt"),
     (["fricke", "--word", "0011"], "fricke_0011.txt"),
@@ -239,6 +236,9 @@ GOLDEN_CASES = [
      "montecarlo_seed5_uniform01_1000.csv"),
     # criterion detail lines: golden/reproduce_seed0.txt in test_acceptance
     (["reproduce", "--list"], "reproduce_list.txt"),
+    (["sturmian", "--pair", COPAR_GAMMA1, "--resolution", "1/1024"],
+     "sturmian_copar_gamma1_res1024.json"),
+    (["smp", "--pair", COPAR_GAMMA1], "smp_copar_gamma1.json"),
 ]
 
 
