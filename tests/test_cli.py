@@ -311,3 +311,23 @@ def test_smp_overflow_exits_1_with_an_error_line_and_no_traceback(tmp_path):
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                            ("1e999", "inf"), ("-Infinity", "-inf")])
+def test_non_finite_pair_entry_exits_1_and_fails_only_its_batch_line(
+        tmp_path, capsys, literal, shown):
+    # json.loads reads NaN, Infinity and 1e999 (as inf) without complaint
+    good = json.dumps({"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]})
+    bad = '{"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, %s]]}' % literal
+    message = f"matrix entry a22 is not finite: {shown}"
+    f = tmp_path / "pair.json"
+    f.write_text(bad)
+    code, out, err = run_cli(capsys, "smp", "--pair", str(f))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    f.write_text("\n".join([good, bad, good]) + "\n")
+    code, out, _ = run_cli(capsys, "jsr", "--batch", str(f))
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 2
+    assert len(rows) == 3 and rows[0] == rows[2] and "lower" in rows[0]
+    assert rows[1] == {"line": 2, "error": f"malformed pair: ValueError({message!r})"}

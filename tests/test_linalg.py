@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_pair
+from smplab.constructions import realize_from_tuple, symmetrize
+from smplab.jsr import brute_force, certify, gelfand_scan
 from smplab.linalg import (
     FiveTuple,
     Mat2,
@@ -11,6 +15,7 @@ from smplab.linalg import (
     Reducibility,
     SpectrumKind,
     commutator_invariant,
+    commutator_matrix,
     conjugated,
     five_tuple,
     is_reducible,
@@ -23,7 +28,9 @@ from smplab.linalg import (
     unit_scaled,
     word_product,
 )
-from smplab.regions import classify
+from smplab.regions import classify, geometric_oracle
+from smplab.sturmian import (copar_gap, lyapunov_irrational, lyapunov_rational,
+                             maximize_sturmian, midpoint_concavity_audit)
 
 DIAG = Mat2(2, 0, 0, 0.5)
 ONES = Mat2(1, 1, 1, 1)
@@ -184,6 +191,29 @@ def test_mat2_rejects_non_finite():
         Mat2(math.nan, 0, 0, 1)
 
 
+@pytest.mark.parametrize("entries, name, shown", [
+    ((1, 2, 3, math.inf), "a22", "inf"),
+    ((math.nan, 0, 0, 1), "a11", "nan"),
+    ((0, -math.inf, 0, 1), "a12", "-inf"),
+])
+def test_matrix_pair_rejects_non_finite(entries, name, shown):
+    message = f"matrix entry {name} is not finite: {shown}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatrixPair(Mat2(*entries), Mat2.identity())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatrixPair(Mat2.identity(), Mat2(*entries))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatrixPair.from_json_dict({"A": [[1, 0], [0, 1]],
+                                   "B": [entries[:2], entries[2:]]})
+
+
+def test_matrix_pair_rejects_non_numeric_entries():
+    with pytest.raises(ValueError, match="could not convert"):
+        MatrixPair.from_json_dict({"A": [[1, "x"], [0, 1]], "B": [[1, 0], [0, 1]]})
+    with pytest.raises(TypeError):
+        MatrixPair.from_json_dict({"A": [[1, None], [0, 1]], "B": [[1, 0], [0, 1]]})
+
+
 def test_pair_json_round_trip():
     obj = PAIR.to_json_dict()
     assert obj == {"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]}
@@ -257,3 +287,69 @@ def test_is_reducible_rejects_nan_or_negative_tol(tol):
     # a NaN tol once answered IRREDUCIBLE for a margin inside tolerance
     with pytest.raises(ValueError):
         is_reducible(MatrixPair(Mat2(2, 0, 0, 1), Mat2(1, 1e-6, 1e-6, 1)), tol)
+
+
+# Every public function that takes a MatrixPair, with fixed extra arguments.
+# maximize_sturmian is pinned by its grid: its argmax is checked elsewhere.
+PAIR_FUNCTIONS = {
+    "linalg.five_tuple": lambda p: five_tuple(p),
+    "linalg.word_product": lambda p: word_product(p, "0011"),
+    "linalg.unit_scaled": lambda p: unit_scaled(p),
+    "linalg.scaled_word_product": lambda p: scaled_word_product(p, "0011"),
+    "linalg.commutator_matrix": lambda p: commutator_matrix(p),
+    "linalg.commutator_invariant": lambda p: commutator_invariant(p),
+    "linalg.is_reducible": lambda p: is_reducible(p),
+    "linalg.conjugated": lambda p: conjugated(p, Mat2(1.0, 2.0, 0.5, 3.0)),
+    "regions.classify": lambda p: classify(p),
+    "regions.geometric_oracle": lambda p: geometric_oracle(p),
+    "jsr.brute_force": lambda p: brute_force(p, 8),
+    "jsr.gelfand_scan": lambda p: gelfand_scan(p),
+    "jsr.certify": lambda p: certify(p, resolution=Fraction(1, 64)),
+    "sturmian.lyapunov_rational": lambda p: lyapunov_rational(p, 2, 5),
+    "sturmian.lyapunov_irrational": lambda p: lyapunov_irrational(p, 0.381966, 6),
+    "sturmian.maximize_sturmian": lambda p: maximize_sturmian(p, Fraction(1, 64)).grid,
+    "sturmian.copar_gap": lambda p: copar_gap(p),
+    "sturmian.midpoint_concavity_audit": lambda p: midpoint_concavity_audit(p, 6),
+    "constructions.symmetrize": lambda p: symmetrize(p),
+}
+
+
+def _overflow_probe_lines() -> list[str]:
+    """One line per (pair, function): the repr it returns or the class it raises."""
+    copar = realize_from_tuple(FiveTuple(3, 3, 8, 1, 1))
+    pairs = {"both-1e200": MatrixPair(copar.A * 1e200, copar.B * 1e200),
+             "A-1e200-B-1e-200": MatrixPair(copar.A * 1e200, copar.B * 1e-200)}
+    lines = []
+    for pair_name, p in pairs.items():
+        for name, fn in PAIR_FUNCTIONS.items():
+            try:
+                outcome = f"returns {fn(p)!r}"
+            except Exception as exc:  # noqa: BLE001 - the class is the outcome
+                outcome = f"raises {type(exc).__name__}"
+            lines.append(f"{pair_name} {name} {outcome}\n")
+    return lines
+
+
+def test_overflow_probe_covers_every_public_pair_function():
+    import importlib
+    import inspect
+
+    found = set()
+    for module in ("linalg", "regions", "jsr", "sturmian", "constructions"):
+        mod = importlib.import_module(f"smplab.{module}")
+        for name in mod.__all__:
+            fn = getattr(mod, name)
+            if inspect.isfunction(fn) and any(
+                    "MatrixPair" in str(prm.annotation)
+                    for prm in inspect.signature(fn).parameters.values()):
+                found.add(f"{module}.{name}")
+    assert found == set(PAIR_FUNCTIONS)
+
+
+def test_pair_functions_keep_their_overflow_outcome():
+    # golden/overflow_probe.txt: the (3,3,8,1,1) pair scaled by 1e200, and
+    # with A times 1e200 and B times 1e-200, where products of the unscaled
+    # matrices overflow; a function returns the same value or raises the
+    # same exception class as when every Mat2 checked its own entries
+    expected = (Path(__file__).parent / "golden" / "overflow_probe.txt").read_text()
+    assert "".join(_overflow_probe_lines()) == expected
