@@ -77,7 +77,8 @@ def _rows(seed_key: list[int], count: int,
     return np.concatenate(blocks)[:count]
 
 
-def _pair(row: np.ndarray) -> MatrixPair:
+def _pair(row) -> MatrixPair:
+    """The pair of a row (array or list): A's entries, then B's."""
     return MatrixPair(Mat2(*row[:4]), Mat2(*row[4:8]))
 
 
@@ -110,8 +111,9 @@ def crit_01_identity_suite(seed: int = 0) -> CriterionResult:
     worst_expr = worst_sum = worst_rank1 = 0.0
     n = 10_000
     # row i: pair i's 8 entries, then 12 for its rank-one check, the order
-    # of n alternating draws of 8 and 12
-    for row in np.random.default_rng([seed, 1]).standard_normal((n, 20)):
+    # of n alternating draws of 8 and 12; as Python floats, so the bare Mat2
+    # products of the rank-one check run on float, not on numpy scalars
+    for row in np.random.default_rng([seed, 1]).standard_normal((n, 20)).tolist():
         p = _pair(row)
         x, y, z, u, v = five_tuple(p)
         # the five equal expressions, conditioned on monomial magnitude

@@ -52,19 +52,29 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Mat2:
-    """A real 2x2 matrix, stored row-major as four floats."""
+    """A real 2x2 matrix, stored row-major as four numbers.
+
+    A plain value: it holds the entries it is given, unconverted and
+    unchecked, and its arithmetic follows IEEE as ``float`` does, so an
+    overflowing product holds inf or nan.  ``checked`` is the one check;
+    ``MatrixPair`` applies it to A and B, and the pair helpers that
+    multiply the unscaled input apply it to their products.
+    """
 
     a11: float
     a12: float
     a21: float
     a22: float
 
-    def __post_init__(self) -> None:
+    def checked(self) -> "Mat2":
+        """This matrix with float entries; ValueError names a non-finite one."""
+        entries = []
         for name in ("a11", "a12", "a21", "a22"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"matrix entry {name} is not finite: {v!r}")
-            object.__setattr__(self, name, v)
+            entries.append(v)
+        return Mat2(*entries)
 
     @classmethod
     def from_rows(cls, rows) -> "Mat2":
@@ -152,10 +162,20 @@ class Mat2:
 
 @dataclass(frozen=True, slots=True)
 class MatrixPair:
-    """An ordered pair of real 2x2 matrices; letter 0 names A, letter 1 names B."""
+    """An ordered pair of real 2x2 matrices; letter 0 names A, letter 1 names B.
+
+    Every analysis takes a pair, so the pair is where input is checked:
+    A and B pass through ``Mat2.checked``, which stores float entries and
+    raises ValueError for a non-finite or TypeError/ValueError for a
+    non-numeric one.
+    """
 
     A: Mat2
     B: Mat2
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "A", self.A.checked())
+        object.__setattr__(self, "B", self.B.checked())
 
     def swapped(self) -> "MatrixPair":
         return MatrixPair(self.B, self.A)
@@ -273,7 +293,7 @@ def operator_norm_2(m: Mat2) -> float:
 
 def five_tuple(p: MatrixPair) -> FiveTuple:
     """The invariants (tr A, tr B, tr AB, det A, det B) of a pair."""
-    ab = p.A @ p.B
+    ab = (p.A @ p.B).checked()
     return FiveTuple(p.A.trace(), p.B.trace(), ab.trace(), p.A.det(), p.B.det())
 
 
@@ -288,7 +308,7 @@ def word_product(p: MatrixPair, word: str) -> Mat2:
     out = p.letter(word[0])
     for ch in word[1:]:
         out = out @ p.letter(ch)
-    return out
+    return out.checked()  # an overflowed entry stays inf or nan to the end
 
 
 def unit_scaled(p: MatrixPair) -> tuple[MatrixPair, int]:
@@ -346,7 +366,7 @@ def scaled_word_product(p: MatrixPair, word: str) -> tuple[Mat2, float]:
 
 
 def commutator_matrix(p: MatrixPair) -> Mat2:
-    return (p.A @ p.B) - (p.B @ p.A)
+    return ((p.A @ p.B) - (p.B @ p.A)).checked()
 
 
 def commutator_quintic(x: float, y: float, z: float, u: float, v: float) -> float:
@@ -384,7 +404,7 @@ def commutator_invariant(p: MatrixPair) -> CommutatorReport:
     e2 = commutator_matrix(p).det()
     e3 = 0.25 * (x * x - 4.0 * u) * (y * y - 4.0 * v) - (z - 0.5 * x * y) ** 2
     ab = a @ b
-    e4 = ((a @ a) @ (b @ b)).trace() - (ab @ ab).trace()
+    e4 = ((a @ a) @ (b @ b)).checked().trace() - (ab @ ab).checked().trace()
 
     expressions = {
         "five_tuple_poly": e1,
@@ -393,7 +413,7 @@ def commutator_invariant(p: MatrixPair) -> CommutatorReport:
         "power_traces": e4,
     }
     if u != 0.0 and v != 0.0:
-        e5 = u * v * (2.0 - (a @ b @ a.inverse() @ b.inverse()).trace())
+        e5 = u * v * (2.0 - (ab @ a.inverse() @ b.inverse()).checked().trace())
         expressions["inverse_form"] = e5
 
     values = list(expressions.values())

@@ -184,27 +184,38 @@ def test_rho_below_norm_and_symmetric_equality(rng):
         assert spectral_radius(sym) == pytest.approx(operator_norm_2(sym), rel=1e-10)
 
 
-def test_mat2_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Mat2(1, 2, 3, math.inf)
-    with pytest.raises(ValueError):
-        Mat2(math.nan, 0, 0, 1)
+NON_FINITE = [((1, 2, 3, math.inf), "a22", "inf"),
+              ((math.nan, 0, 0, 1), "a11", "nan"),
+              ((0, -math.inf, 0, 1), "a12", "-inf")]
 
 
-@pytest.mark.parametrize("entries, name, shown", [
-    ((1, 2, 3, math.inf), "a22", "inf"),
-    ((math.nan, 0, 0, 1), "a11", "nan"),
-    ((0, -math.inf, 0, 1), "a12", "-inf"),
-])
-def test_matrix_pair_rejects_non_finite(entries, name, shown):
-    message = f"matrix entry {name} is not finite: {shown}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        MatrixPair(Mat2(*entries), Mat2.identity())
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        MatrixPair(Mat2.identity(), Mat2(*entries))
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        MatrixPair.from_json_dict({"A": [[1, 0], [0, 1]],
-                                   "B": [entries[:2], entries[2:]]})
+def test_matrix_pair_rejects_non_finite():
+    # a pair is where input is checked: every analysis takes one
+    for entries, name, shown in NON_FINITE:
+        message = f"^matrix entry {name} is not finite: {shown}$"
+        with pytest.raises(ValueError, match=message):
+            MatrixPair(Mat2(*entries), Mat2.identity())
+        with pytest.raises(ValueError, match=message):
+            MatrixPair(Mat2.identity(), Mat2(*entries))
+        with pytest.raises(ValueError, match=message):
+            MatrixPair.from_json_dict({"A": [[1, 0], [0, 1]],
+                                       "B": [entries[:2], entries[2:]]})
+
+
+def test_mat2_is_a_plain_ieee_value():
+    # a bare Mat2 holds what it is given, and its arithmetic follows IEEE
+    for entries, name, shown in NON_FINITE:
+        m = Mat2(*entries)
+        assert m.entries() == entries
+        assert math.isnan(spectral_radius(m)) and math.isnan(operator_norm_2(m))
+        assert math.isnan(spectrum(m).rho)
+        with pytest.raises(ValueError, match=f"^matrix entry {name} is not finite: {shown}$"):
+            m.checked()
+    big = Mat2(1e200, 0.0, 0.0, 1.0)
+    assert (big @ big).entries() == (math.inf, 0.0, 0.0, 1.0)
+    checked = Mat2(1, 2, 3, 4).checked()
+    assert checked == Mat2(1.0, 2.0, 3.0, 4.0)
+    assert all(type(x) is float for x in checked.entries())
 
 
 def test_matrix_pair_rejects_non_numeric_entries():
