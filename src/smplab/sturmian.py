@@ -318,7 +318,11 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
     neighbours and m as the incumbent.  Each step evaluates the two
     sub-mediants; strict concavity implies the maximizer lies left of m
     when f(mediant(l, m)) > f(m), right of m symmetrically, and between
-    the sub-mediants otherwise.  Stops once r - l < resolution.  All
+    the sub-mediants otherwise.  Stops once r - l < resolution.  The
+    incumbent only ever moves to a mediant, so the endpoints 0/1 and 1/1,
+    whose values are log rho(A) and log rho(B), are compared with it last:
+    the reported argmax is the incumbent unless an endpoint is strictly
+    larger, and then the larger endpoint (0/1 on a tie).  All
     evaluated samples feed a midpoint-concavity audit; violations beyond
     ``audit_tol`` raise ConcavityViolation.  A negative or NaN ``audit_tol``
     raises ValueError.
@@ -394,8 +398,10 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
 
     grid = [LyapunovSample(Fraction(*g), val, nilpotent=math.isinf(val))
             for g, val in zip(order, vals)]
+    # max keeps the first of equal values: mid, then 0/1, then 1/1
+    best = max(mid, (0, 1), (1, 1), key=values.__getitem__)
     return ConcavityReport(grid=grid, midpoint_violations=[],
-                           argmax_gamma=Fraction(*mid), max_value=values[mid])
+                           argmax_gamma=Fraction(*best), max_value=values[best])
 
 
 def copar_gap(p: MatrixPair) -> float:

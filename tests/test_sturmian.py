@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pair
 from smplab import sturmian
 from smplab.constructions import realize_from_tuple
+from smplab.jsr import brute_force, certify
 from smplab.linalg import FiveTuple, Mat2, MatrixPair, spectral_radius, word_product
 from smplab.regions import classify
 from smplab.sturmian import (
@@ -113,13 +114,16 @@ def test_maximize_sturmian_rejects_non_copar():
 
 
 def test_maximize_sturmian_asymmetric_interior():
-    # z just above the co-parallel window for (x, y, u, v) = (3, 4, 1, 1)
-    t = FiveTuple(3, 4, 10.0, 1, 1)
-    p = realize_from_tuple(t)
-    assert classify(p).in_copar is True
-    rep = maximize_sturmian(p, Fraction(1, 256))
-    assert Fraction(0) < rep.argmax_gamma < Fraction(1)
-    assert rep.midpoint_violations == []
+    # (x, y, u, v) = (3, 4, 1, 1): at z = 14 the maximizer is interior, the
+    # class of 011; at z = 10, just above the co-parallel window, rho(B)
+    # dominates and the argmax is the endpoint 1/1, the SMP B
+    for z, gamma, word in ((14.0, Fraction(2, 3), "011"), (10.0, Fraction(1), "1")):
+        p = realize_from_tuple(FiveTuple(3, 4, z, 1, 1))
+        assert classify(p).in_copar is True
+        rep = maximize_sturmian(p, Fraction(1, 256))
+        assert rep.argmax_gamma == gamma
+        assert brute_force(p, 14).best_word == word
+        assert rep.midpoint_violations == []
 
 
 def _random_copar_pairs(rng, count):
@@ -207,6 +211,9 @@ def _reference_descent(p, resolution):
             left, mid, right = mid, mr, right
         else:
             left, right = ml, mr
+    # an endpoint strictly above the incumbent is the argmax, 0 on a tie
+    if max(f(Fraction(0)), f(Fraction(1))) > f(mid):
+        mid = Fraction(0) if f(Fraction(0)) >= f(Fraction(1)) else Fraction(1)
     return samples, mid
 
 
@@ -226,14 +233,15 @@ def test_maximize_matches_reference_on_tuple():
 
 
 def test_maximize_matches_reference_at_endpoints():
-    # rho(A) dominates, so the argmax runs to gamma -> 0; swapping the
-    # letters mirrors it to gamma -> 1, the longest descent (two samples
-    # per step)
+    # rho(A) dominates, so the descent runs to gamma -> 0 and the argmax is
+    # the endpoint 0/1; swapping the letters mirrors it to gamma -> 1, the
+    # longest descent (two samples per step), and the argmax 1/1
     p = realize_from_tuple(FiveTuple(8, 2.2, 13.0, 1, 1))
     low = _assert_matches_reference(p, Fraction(1, 256))
     high = _assert_matches_reference(p.swapped(), Fraction(1, 256))
-    assert low.argmax_gamma == Fraction(1, 258)
-    assert high.argmax_gamma == Fraction(257, 258)
+    assert low.argmax_gamma == Fraction(0)
+    assert high.argmax_gamma == Fraction(1)
+    assert low.max_value == pytest.approx(math.log(spectral_radius(p.A)), rel=1e-15)
     assert len(high.grid) == 2 * len(low.grid) - 3
 
 
@@ -346,3 +354,40 @@ def test_maximize_raises_on_non_concave_values(monkeypatch):
     ref, _ = _reference_descent(p, Fraction(1, 16))
     assert exc.value.violations == _reference_audit(ref, 1e-10)
     assert exc.value.violations[0] == (Fraction(0), Fraction(1), math.log(2))
+
+
+def _copar_rows(seed, count):
+    """The first ``count`` co-parallel rows of a seeded N(0,1) (n, 8) draw."""
+    from smplab.regions import classify_arrays
+
+    rows = np.random.default_rng(seed).standard_normal((6000, 8))
+    rows = rows[classify_arrays(rows).in_copar == 1][:count]
+    assert len(rows) == count
+    return [MatrixPair(Mat2(*r[:4]), Mat2(*r[4:])) for r in rows.tolist()]
+
+
+# the 13 co-parallel pairs of the seed-0 corpus (the rows of
+# default_rng(0).standard_normal((1000, 8))), then 50 more seeded ones
+COPAR_SET = _copar_rows(0, 13) + _copar_rows([11, 0], 50)
+
+
+def test_copar_candidate_is_not_below_the_brute_force_lower_bound():
+    # the descent never makes an endpoint its incumbent; 9 of the 13 corpus
+    # pairs have a single-letter SMP and printed a long word below lower
+    single = 0
+    for p in COPAR_SET:
+        cand = certify(p)
+        bounds = brute_force(p, 14)
+        assert cand.value >= bounds.lower * (1 - 1e-12)
+        if len(bounds.best_word) == 1:
+            single += 1
+            assert cand.word == bounds.best_word
+    assert single >= 9
+
+
+def test_sturmian_argmax_mirrors_when_the_letters_swap():
+    for p in COPAR_SET:
+        rep = maximize_sturmian(p, Fraction(1, 256))
+        mirrored = maximize_sturmian(p.swapped(), Fraction(1, 256))
+        assert mirrored.argmax_gamma == 1 - rep.argmax_gamma
+        assert mirrored.max_value == pytest.approx(rep.max_value, rel=1e-12)
