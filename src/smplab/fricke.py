@@ -17,8 +17,8 @@ Cayley-Hamilton (M^2 = tr(M) M - det(M) I) and its linearization
     AB*AB = z*AB - u*v*I
 
 Every row is re-derivable from the two identities above and is verified
-numerically against random matrices in the test suite (and once at import
-time in debug runs).
+numerically against random matrices by ``_verify_reduction_table``, which
+the test suite runs.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _verify_reduction_table(seed: int = 12345, tol: float = 1e-9) -> float:
     """Numeric spot-check of every reduction row against random matrices.
 
     Returns the largest relative deviation found; raises AssertionError
-    beyond ``tol``.  Runs once at import time in debug builds.
+    beyond ``tol``.
     """
     import random
 
@@ -265,7 +265,3 @@ def _verify_reduction_table(seed: int = 12345, tol: float = 1e-9) -> float:
             worst = max(worst, dev)
     assert worst <= tol, f"reduction table deviates by {worst:.3e}"
     return worst
-
-
-if __debug__:
-    _verify_reduction_table()

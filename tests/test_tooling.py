@@ -89,3 +89,46 @@ def test_every_property_test_is_derandomized_without_a_database():
                      for k in ("derandomize", "database")}
             assert flags == {"derandomize": True, "database": None}, f"{path.name}::{fn.name}"
     assert found >= 8
+
+
+def _readme_command_lines() -> list[tuple[str, str]]:
+    """(command, comment) for each line of README's Command line block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        lines.append((command.strip(), comment.strip()))
+    return lines
+
+
+def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # each line runs in-process, in order, from an empty directory, so the
+    # pair files come from the block's own realize lines; a comment that is
+    # a quoted string or a single token is the line's literal stdout
+    import shlex
+
+    from smplab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) > 10
+    literals = 0
+    for command, comment in lines:
+        argv = shlex.split(command)
+        assert argv[0] == "smplab", command
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        code = main(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0, command
+        if target is not None:
+            Path(target).write_text(out)
+        if comment.startswith('"') and comment.endswith('"'):
+            comment = comment[1:-1]
+        elif " " in comment or not comment:
+            continue
+        literals += 1
+        assert out == comment + "\n", command
+    assert literals == 4
