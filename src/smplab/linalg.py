@@ -58,7 +58,11 @@ class Mat2:
     unchecked, and its arithmetic follows IEEE as ``float`` does, so an
     overflowing product holds inf or nan.  ``checked`` is the one check;
     ``MatrixPair`` applies it to A and B, and the pair helpers that
-    multiply the unscaled input apply it to their products.
+    multiply the unscaled input (``five_tuple``, ``word_product``, the
+    commutator functions, ``sturmian.copar_gap``) apply it to their
+    products.  So ``spectrum``, ``spectral_radius`` and ``operator_norm_2``
+    return nan for a bare non-finite matrix instead of raising, and the
+    methods here give IEEE results (inf or nan) for it.
     """
 
     a11: float
@@ -165,9 +169,9 @@ class MatrixPair:
     """An ordered pair of real 2x2 matrices; letter 0 names A, letter 1 names B.
 
     Every analysis takes a pair, so the pair is where input is checked:
-    A and B pass through ``Mat2.checked``, which stores float entries and
-    raises ValueError for a non-finite or TypeError/ValueError for a
-    non-numeric one.
+    A and B pass through ``Mat2.checked``.  The pair stores them with
+    float entries; a non-finite entry raises ValueError naming it, and a
+    non-numeric one raises what ``float()`` raises.
     """
 
     A: Mat2

@@ -274,8 +274,8 @@ def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
 
     Row i holds A's entries (a11, a12, a21, a22) and then B's.  The margins
     and flags come from the same code as ``classify``'s, so they equal its
-    results bit for bit.  Non-finite entries raise ValueError, as ``Mat2``
-    does; so does a negative or NaN ``tol``.
+    results bit for bit.  Non-finite entries raise ValueError, as
+    ``MatrixPair`` does; so does a negative or NaN ``tol``.
     """
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[1] != 8:

@@ -410,7 +410,8 @@ def copar_gap(p: MatrixPair) -> float:
     if flags.in_copar is not True:
         raise ValueError("pair is not (definitely) co-parallel; "
                          f"copar flag = {flags.in_copar!r}")
-    return spectral_radius((p.A @ p.B).checked()) - spectral_radius(p.A) * spectral_radius(p.B)
+    rho_ab = spectral_radius((p.A @ p.B).checked())  # unscaled: may overflow
+    return rho_ab - spectral_radius(p.A) * spectral_radius(p.B)
 
 
 def midpoint_concavity_audit(p: MatrixPair, max_den: int,
