@@ -372,8 +372,8 @@ COPAR_SET = _copar_rows(0, 13) + _copar_rows([11, 0], 50)
 
 
 def test_copar_candidate_is_not_below_the_brute_force_lower_bound():
-    # the descent never makes an endpoint its incumbent; 9 of the 13 corpus
-    # pairs have a single-letter SMP and printed a long word below lower
+    # the descent never makes an endpoint its incumbent, so the argmax must
+    # weigh them itself: 9 of the 13 corpus pairs have a single-letter SMP
     single = 0
     for p in COPAR_SET:
         cand = certify(p)
