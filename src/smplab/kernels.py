@@ -18,13 +18,22 @@ call.
 
 A word of length k is handled as its integer code (first letter = most
 significant bit, ``words.lyndon_codes``), so the product of a word of
-length k is row ``code`` of level k of a tree.  Every product is a
-stacked ``np.matmul`` in the same association as the letter-by-letter
-loop these kernels replaced, so results are bit for bit the same:
-numpy's matmul rounds each entry as fma(a12, b21, a11*b11), which plain
-elementwise arithmetic would not reproduce.
+length k is row ``code`` of level k of a tree.  Every product is taken
+in the same association, and rounded alike, as in the letter-by-letter
+loop these kernels replaced, so results are bit for bit the same.  That
+loop's stacked ``(n,2,2) @ (2,2)`` makes one BLAS call per 2x2 product
+and rounds each entry as fma(x_i2, y_2j, x_i1*y_1j), which elementwise
+arithmetic would not reproduce.  Here each batch is one GEMM on stacked
+rows, ``(2n,2) @ (2,2)``, with the same fma per entry.  A right product
+M P is held transposed: entry (j, i) of ``rows(P^T) @ M^T`` is
+fma(p_2j, m_i2, p_1j*m_i1), the same pair in the same order, so the
+right tree stores each product as the rows of its transpose and reads
+its norm in P's entry order (t11, t21, t12, t22).  M^T is a contiguous
+copy: given a transposed view, OpenBLAS takes a path that turns -0 into
++0.  ``tests/test_kernels.py`` checks all of this bit for bit.
 
-Cost, in 2x2 products for L = max_len and T = min(L, 14):
+Cost, in 2x2 products for L = max_len and T = min(L, 14), formed by one
+GEMM per tree level, tail run or prefix (about 3 ns a product, not 40):
 
 - ``scan_classes`` builds one left-associated product tree of the
   2^(T+1) - 2 words up to length T and reads each Lyndon word's product
@@ -88,23 +97,28 @@ Together a computed value exceeds its computed bound by a factor below
 the bound add a few u: _MARGIN = 1e-6 covers that five times over.
 
 Nothing but the Lyndon tables outlives a call.  Up to L = 18 no array
-holds more than 2^14 products.  Timings on a 2-CPU host (a fixed random
-pre-scaled pair, then the worst case, an orthogonal pair where every
-product has norm 1 and nothing is pruned; ``benchmarks/bench_kernels.py``):
+holds more than 2^14 products.  Warm timings on a 2-CPU host (a fixed
+random pre-scaled pair, then the worst case, an orthogonal pair where
+every product has norm 1 and nothing is pruned;
+``benchmarks/bench_kernels.py``), with those before one GEMM per level
+in brackets; the host drifts by up to 30% between runs:
 
-=====  =================  ================  ==================  ================
-L      scan_classes       norm_profile      scan_classes        norm_profile
-       (random)           (random)          (orthogonal)        (orthogonal)
-=====  =================  ================  ==================  ================
-18     6 ms (13 before)   5 ms (30 before)  50 ms (same)        44 ms (same)
-20     5 ms (43 before)   4 ms (125 before) 200 ms (same)       145 ms (same)
-=====  =================  ================  ==================  ================
+=====  ================  ================  ===================  ================
+L      scan_classes      norm_profile      scan_classes         norm_profile
+       (random)          (random)          (orthogonal)         (orthogonal)
+=====  ================  ================  ===================  ================
+18     4 ms (4-6)        2.4 ms (4.5)      50 ms (40-64)        12 ms (27-41)
+20     5 ms (6-7)        2.6 ms (5)        170-220 ms (same)    45 ms (130-170)
+=====  ================  ================  ===================  ================
 
-At L = 24 the random pair takes 41 ms and 7 ms (1.2 s and 2.7 s
-before).  A pair where nothing prunes costs what it did before: at
-L = 24 ``scan_classes`` holds the 698 870 products of the longest Lyndon
-words at once (22 MB), and the two kernels raise peak memory by about
-100 MB and take about 1 s and 3 s.
+The orthogonal scan at L = 20 spends most of its time making its
+111 033 tie strings: without them it takes 25 ms (58 before).  At
+L = 24 the random pair takes 25-28 ms and 2.5-3 ms (23-33 ms and
+3.5-5 ms before).  A pair where nothing prunes: at L = 24
+``scan_classes`` holds the 698 870 products of the longest Lyndon words
+at once (22 MB), the two kernels raise peak memory by about 250 MB
+(as before) and take 2-3.6 s and 0.5-0.7 s (3-3.6 s and 2.5-2.7 s
+before).
 """
 
 from __future__ import annotations
@@ -137,12 +151,17 @@ def _left_tree(a: np.ndarray, b: np.ndarray, depth: int) -> list[np.ndarray]:
     """Level k holds ((I @ M_w1) @ M_w2) ... @ M_wk at row code(w), k <= depth.
 
     Level k is level k-1 times A and times B, interleaved so that row
-    2i + c is row i times M_c (M_0 = A, M_1 = B).
+    2i + c is row i times M_c (M_0 = A, M_1 = B): one GEMM per letter on
+    the stacked rows of level k-1, copied into its slots (``np.stack``
+    here took ~550 page faults per ``brute_force(p, 18)``, against 3).
     """
     levels = [np.eye(2)[None]]
     for _ in range(depth):
-        prev = levels[-1]
-        levels.append(np.stack([prev @ a, prev @ b], axis=1).reshape(-1, 2, 2))
+        rows = levels[-1].reshape(-1, 2)
+        level = np.empty((len(rows) // 2, 2, 2, 2))
+        level[:, 0] = (rows @ a).reshape(-1, 2, 2)
+        level[:, 1] = (rows @ b).reshape(-1, 2, 2)
+        levels.append(level.reshape(-1, 2, 2))
     return levels
 
 
@@ -171,8 +190,15 @@ def _twice_sq_norms(p11, p12, p21, p22) -> np.ndarray:
     return t + np.sqrt(np.maximum(t * t - 4.0 * d * d, 0.0))
 
 
-def _twice_sq_norm_max(prods: np.ndarray) -> float:
-    return float(_twice_sq_norms(*prods.reshape(-1, 4).T).max())
+def _transposed_norms(rows: np.ndarray) -> np.ndarray:
+    """2 |P|^2 for products P stored as the rows of P^T, summing the
+    squares in P's entry order (p11, p12, p21, p22) = (t11, t21, t12, t22)."""
+    t11, t12, t21, t22 = rows.reshape(-1, 4).T
+    return _twice_sq_norms(t11, t21, t12, t22)
+
+
+def _twice_sq_norm_max(rows: np.ndarray) -> float:
+    return float(_transposed_norms(rows).max())
 
 
 def _floored_norms(prods: np.ndarray) -> np.ndarray:
@@ -192,13 +218,14 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
     tail = codes & ((1 << r) - 1)
     order = np.argsort(tail, kind="stable")
     prods = tree[_TREE_DEPTH][codes[order] >> r]
-    starts = np.searchsorted(tail[order], np.arange((1 << r) + 1))
+    rows = prods.reshape(-1, 2)
+    starts = 2 * np.searchsorted(tail[order], np.arange((1 << r) + 1))
     for j in range(r):
         width = 1 << (r - j - 1)  # tails per run at letter _TREE_DEPTH + j
         for g in range(1 << (j + 1)):
             lo, hi = starts[g * width], starts[(g + 1) * width]
             if lo < hi:
-                prods[lo:hi] = prods[lo:hi] @ (b if g & 1 else a)
+                rows[lo:hi] = rows[lo:hi] @ (b if g & 1 else a)
     out = np.empty(len(codes))
     out[order] = _rhos(prods)
     return out
@@ -269,40 +296,46 @@ def norm_profile(a, b, max_len: int):
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
 
-    # right-associated: level k is [A @ level k-1, B @ level k-1]
-    top = min(max_len, _TREE_DEPTH)
-    levels = [np.stack([a, b])]
-    for _ in range(2, top + 1):
-        prev = levels[-1]
-        levels.append(np.concatenate([a @ prev, b @ prev]))
-    out = [math.nan] + [math.sqrt(0.5 * _twice_sq_norm_max(lv)) ** (1.0 / k)
-                        for k, lv in enumerate(levels, start=1)]
-    if max_len == top:
+    # right-associated: level k is [A @ level k-1, B @ level k-1], each
+    # product P held as the rows of P^T, so that A @ P is the one GEMM
+    # rows(P^T) @ A^T per level (see the module docstring)
+    at, bt = a.T.copy(), b.T.copy()
+    rows, out = np.concatenate([at, bt]), [math.nan]
+    for k in range(1, min(max_len, _TREE_DEPTH) + 1):
+        if k > 1:
+            level = np.empty((2, len(rows), 2))
+            np.matmul(rows, at, out=level[0])
+            np.matmul(rows, bt, out=level[1])
+            rows = level.reshape(-1, 2)
+        norms = _transposed_norms(rows)
+        out.append(math.sqrt(0.5 * float(norms.max())) ** (1.0 / k))
+    if max_len <= _TREE_DEPTH:
         return out
 
-    # deeper words: each left-associated prefix times the top level, whose
-    # rows are sorted by norm so that the rows a prefix can still need
-    # (see Pruning) are the slice suffix[:hi]
-    suffix = levels[-1]
-    n_suffix = _twice_sq_norms(*suffix.reshape(-1, 4).T)
-    order = np.argsort(n_suffix)[::-1]
-    suffix, n_suffix = suffix[order], np.maximum(n_suffix[order], _N_FLOOR)
-    prefixes = _left_tree(a, b, max_len - top)
-    for k in range(top + 1, max_len + 1):
-        level = prefixes[k - top]
+    # deeper words: each left-associated prefix P times the top level, whose
+    # rows are sorted by norm so that the rows P can still need (see
+    # Pruning) are the slice srows[:2 hi]; P @ S is the GEMM rows(S^T) @ P^T
+    order = np.argsort(norms)[::-1]
+    srows = rows.reshape(-1, 2, 2)[order].reshape(-1, 2)
+    n_suffix = np.maximum(norms[order], _N_FLOOR)
+    prefixes = _left_tree(a, b, max_len - _TREE_DEPTH)
+    for k in range(_TREE_DEPTH + 1, max_len + 1):
+        level = prefixes[k - _TREE_DEPTH]
+        transposed = level.transpose(0, 2, 1).copy()
         n_prefix = _floored_norms(level)
         visit = np.argsort(n_prefix)[::-1]
         # where a product could overflow the bounds are not safe: every
         # prefix meets every row, and max() skips an overflowed batch's NaN
         safe = 0.5 * n_prefix.max() * n_suffix[0] <= _NORM_CEIL ** 2
-        mx = _twice_sq_norm_max(level[visit[0]] @ suffix[:_SEED_WORDS]) if safe else 0.0
+        mx = (_twice_sq_norm_max(srows[:2 * _SEED_WORDS] @ transposed[visit[0]])
+              if safe else 0.0)
         for i in visit:
-            hi = len(suffix)
+            hi = len(n_suffix)
             if safe:
                 hi = int(np.count_nonzero(
                     (0.5 * (1.0 + _MARGIN)) * n_prefix[i] * n_suffix >= mx))
                 if hi == 0:
                     break  # the later prefixes have no larger norm
-            mx = max(mx, _twice_sq_norm_max(level[i] @ suffix[:hi]))
+            mx = max(mx, _twice_sq_norm_max(srows[:2 * hi] @ transposed[i]))
         out.append(math.sqrt(0.5 * mx) ** (1.0 / k))
     return out

@@ -71,10 +71,15 @@ class Mat2:
     a22: float
 
     def checked(self) -> "Mat2":
-        """This matrix with float entries; ValueError names a non-finite one."""
+        """This matrix with float entries; ValueError names a non-finite one,
+        or one that ``float()`` refuses to take (None, a list)."""
         entries = []
         for name in ("a11", "a12", "a21", "a22"):
-            v = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                v = float(raw)
+            except TypeError:
+                raise ValueError(f"matrix entry {name} is not a number: {raw!r}") from None
             if not math.isfinite(v):
                 raise ValueError(f"matrix entry {name} is not finite: {v!r}")
             entries.append(v)

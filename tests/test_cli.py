@@ -313,14 +313,20 @@ def test_smp_overflow_exits_1_with_an_error_line_and_no_traceback(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"),
-                                            ("1e999", "inf"), ("-Infinity", "-inf")])
+@pytest.mark.parametrize("literal, shown", [
+    pytest.param("NaN", "not finite: nan", id="NaN-nan"),
+    pytest.param("Infinity", "not finite: inf", id="Infinity-inf"),
+    pytest.param("1e999", "not finite: inf", id="1e999-inf"),
+    pytest.param("-Infinity", "not finite: -inf", id="-Infinity--inf"),
+    pytest.param("null", "not a number: None", id="null-None"),
+    pytest.param("[1, 2]", "not a number: [1, 2]", id="list-[1, 2]")])
 def test_non_finite_pair_entry_exits_1_and_fails_only_its_batch_line(
         tmp_path, capsys, literal, shown):
-    # json.loads reads NaN, Infinity and 1e999 (as inf) without complaint
+    # json.loads reads NaN, Infinity and 1e999 (as inf) without complaint;
+    # null and a nested list reach float() as None and a list
     good = json.dumps({"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]})
     bad = '{"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, %s]]}' % literal
-    message = f"matrix entry a22 is not finite: {shown}"
+    message = f"matrix entry a22 is {shown}"
     f = tmp_path / "pair.json"
     f.write_text(bad)
     code, out, err = run_cli(capsys, "smp", "--pair", str(f))

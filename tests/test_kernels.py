@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels
 from conftest import random_pair
@@ -19,7 +19,7 @@ def test_norm_profile_suffix_batching_consistent(rng):
     prof = kernels.norm_profile(a, b, 16)
     short = kernels.norm_profile(a, b, 14)
     for k in range(1, 15):
-        assert prof[k] == pytest.approx(short[k], rel=1e-12)
+        assert prof[k] == short[k]  # the same tree levels, so the same bits
 
 
 def test_scan_single_length():
@@ -135,9 +135,9 @@ def test_pruning_skips_most_deep_products(rng, monkeypatch):
         rows["rho"] += len(prods)
         return rhos(prods)
 
-    def count_norms(prods):
-        rows["norm"] += len(prods)
-        return norms(prods)
+    def count_norms(transposed_rows):
+        rows["norm"] += len(transposed_rows) // 2
+        return norms(transposed_rows)
 
     a, b = _prescaled(random_pair(rng))
     max_len = 18
@@ -149,4 +149,48 @@ def test_pruning_skips_most_deep_products(rng, monkeypatch):
     monkeypatch.setattr(kernels, "_twice_sq_norm_max", count_norms)
     kernels.norm_profile(a, b, max_len)
     deep = sum(2 ** k for k in range(15, max_len + 1))
-    assert rows["norm"] - (2 ** 15 - 2) < 0.1 * deep
+    assert rows["norm"] < 0.1 * deep  # only the deep products are counted
+
+
+# The kernels form each tree level with one flat GEMM where numpy's stacked
+# matmul makes one BLAS call per 2x2 product.  Their output stays bit for bit
+# that of tests/reference_kernels.py only if the two round alike: every
+# entry fma(x_i2, y_2j, x_i1 * y_1j), signed zeros and overflow included.
+_HARD_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022),
+                          1e150, -1e150, 1.0, -1.0, 1.0 + 2.0 ** -52, 0.1, -0.1, 3.0])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(st.integers(1, 70), st.just(2 ** 14)), seed=st.integers(0, 2 ** 32 - 1),
+       hard=st.floats(0.0, 1.0))
+@example(n=2 ** 14, seed=1, hard=0.25)  # a full level 14
+def test_flat_gemm_rounds_as_per_product_matmul(n, seed, hard):
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((n + 2) * 4)
+    # signed zeros, subnormals, 1e150, and terms that cancel: fma(-0.1, 0.1,
+    # 0.1 * 0.1) is the rounding error of 0.1 * 0.1, where plain arithmetic gives 0
+    pick = rng.random(entries.shape) < hard
+    entries[pick] = rng.choice(_HARD_ENTRIES, int(pick.sum()))
+    prev, a, b = entries[:4 * n].reshape(n, 2, 2), *entries[4 * n:].reshape(2, 2, 2)
+    with np.errstate(all="ignore"):
+        # left tree and tail steps: rows(P) @ M
+        for m in (a, b):
+            assert np.array_equal(_bits(prev.reshape(-1, 2) @ m), _bits(prev @ m).reshape(-1, 2))
+        tree = kernels._left_tree(a, b, 6)
+        for shorter, level in zip(tree, tree[1:]):
+            expect = np.stack([shorter @ a, shorter @ b], axis=1).reshape(-1, 2, 2)
+            assert np.array_equal(_bits(level), _bits(expect))
+        # right tree and deep prefixes, held transposed: rows(P^T) @ M^T
+        rows = prev.transpose(0, 2, 1).copy().reshape(-1, 2)
+        level = np.empty((2, 2 * n, 2))
+        np.matmul(rows, a.T.copy(), out=level[0])
+        np.matmul(rows, b.T.copy(), out=level[1])
+        expect = np.concatenate([a @ prev, b @ prev]).transpose(0, 2, 1)
+        assert np.array_equal(_bits(level.reshape(-1, 2, 2)), _bits(expect))
+        norms = kernels._transposed_norms(level.reshape(-1, 2))
+        assert np.array_equal(_bits(norms), _bits(kernels._twice_sq_norms(
+            *np.concatenate([a @ prev, b @ prev]).reshape(-1, 4).T)))

@@ -221,8 +221,10 @@ def test_mat2_is_a_plain_ieee_value():
 def test_matrix_pair_rejects_non_numeric_entries():
     with pytest.raises(ValueError, match="could not convert"):
         MatrixPair.from_json_dict({"A": [[1, "x"], [0, 1]], "B": [[1, 0], [0, 1]]})
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^matrix entry a12 is not a number: None$"):
         MatrixPair.from_json_dict({"A": [[1, None], [0, 1]], "B": [[1, 0], [0, 1]]})
+    with pytest.raises(ValueError, match=r"^matrix entry a21 is not a number: \[0\]$"):
+        MatrixPair.from_json_dict({"A": [[1, 0], [[0], 1]], "B": [[1, 0], [0, 1]]})
 
 
 def test_pair_json_round_trip():
