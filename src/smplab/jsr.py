@@ -408,7 +408,7 @@ def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
                             jsr=value if certified else None, ties=ties)
 
     if flags.in_copar is True:
-        report = maximize_sturmian(p, resolution)
+        report = maximize_sturmian(p, resolution, bracket_stop=True)
         gamma = report.argmax_gamma
         word = christoffel(gamma.numerator, gamma.denominator)
         value = math.exp(report.max_value)

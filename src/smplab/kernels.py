@@ -36,16 +36,22 @@ Cost, in 2x2 products for L = max_len and T = min(L, 14), formed by one
 GEMM per tree level, tail run or prefix (about 3 ns a product, not 40):
 
 - ``scan_classes`` builds one left-associated product tree of the
-  2^(T+1) - 2 words up to length T and reads each Lyndon word's product
-  from it; a Lyndon word of length k > 14 reads its 14-letter prefix and
-  takes k - 14 more products.  Lyndon words come from
-  ``words.lyndon_codes``, integer tables cached per length for the life
-  of the process: about 2^k/k int64 codes for length k, 0.2 MB up to
-  L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.  Only
-  the best word, the runner-up and the ties become strings.
-- ``norm_profile`` builds the right-associated tree of the same size
-  and, for each k > 14, multiplies prefixes of k - 14 letters (read
-  from a left tree) into level 14, one slice of it per prefix.
+  2^(T+1) - 2 words up to length T, in one buffer, gathers the products
+  of every Lyndon word up to length T from it with one index, and takes
+  their spectral radii in one pass; a Lyndon word of length k > 14 reads
+  its 14-letter prefix and takes k - 14 more products.  Lyndon words
+  come from ``words.lyndon_codes``, integer tables cached per length for
+  the life of the process: about 2^k/k int64 codes for length k, 0.2 MB
+  up to L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.
+  Only the best word, the runner-up and the ties become strings.
+- ``norm_profile`` builds the right-associated tree of the same size,
+  also in one buffer, takes the norms of all its levels in one pass and
+  each level's maximum with ``np.maximum.reduceat``; for each k > 14 it
+  multiplies prefixes of k - 14 letters (read from a left tree) into
+  level 14, one slice of it per prefix.
+
+So a short scan, such as the L = 12 bracket of ``jsr.certify``, makes
+one pass of each closed form, not one per length.
 
 Pruning.  Up to L = 14 both kernels evaluate every word.  A word of
 length k > 14 is its 14-letter prefix P, read from the tree, times its
@@ -147,22 +153,26 @@ _NORM_CEIL = 2.0 ** 250  # no product whose norm stays below this overflows
 _NEG_INF = float("-inf")
 
 
-def _left_tree(a: np.ndarray, b: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Level k holds ((I @ M_w1) @ M_w2) ... @ M_wk at row code(w), k <= depth.
+def _left_tree(a: np.ndarray, b: np.ndarray,
+               depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Row 2^k - 1 + code(w) holds ((I @ M_w1) @ M_w2) ... @ M_wk, k <= depth.
 
-    Level k is level k-1 times A and times B, interleaved so that row
-    2i + c is row i times M_c (M_0 = A, M_1 = B): one GEMM per letter on
-    the stacked rows of level k-1, copied into its slots (``np.stack``
-    here took ~550 page faults per ``brute_force(p, 18)``, against 3).
+    Returns that one buffer and its levels: level k, rows 2^k - 1 on, is
+    a view.  Level k is level k-1 times A and times B, interleaved so
+    that row 2i + c of the level is row i of level k-1 times M_c (M_0 = A,
+    M_1 = B): one GEMM per letter on the stacked rows of level k-1, copied
+    into its slots (``np.stack`` here took ~550 page faults per
+    ``brute_force(p, 18)``, against 3).
     """
-    levels = [np.eye(2)[None]]
-    for _ in range(depth):
-        rows = levels[-1].reshape(-1, 2)
-        level = np.empty((len(rows) // 2, 2, 2, 2))
+    tree = np.empty(((2 << depth) - 1, 2, 2))
+    tree[0] = np.eye(2)
+    levels = [tree[(1 << k) - 1:(2 << k) - 1] for k in range(depth + 1)]
+    for shorter, level in zip(levels, levels[1:]):
+        rows = shorter.reshape(-1, 2)
+        level = level.reshape(-1, 2, 2, 2)
         level[:, 0] = (rows @ a).reshape(-1, 2, 2)
         level[:, 1] = (rows @ b).reshape(-1, 2, 2)
-        levels.append(level.reshape(-1, 2, 2))
-    return levels
+    return tree, levels
 
 
 def _rhos(prods: np.ndarray) -> np.ndarray:
@@ -208,9 +218,8 @@ def _floored_norms(prods: np.ndarray) -> np.ndarray:
 
 def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
                a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rho(P) for the words of length k with these codes, in code order."""
-    if k < len(tree):
-        return _rhos(tree[k][codes])
+    """rho(P) for the words of length k > _TREE_DEPTH with these codes, in
+    code order."""
     # Look up the first _TREE_DEPTH letters, then multiply the r others in
     # order.  Sorting the words by their last r letters makes each letter
     # step 2^j contiguous runs sharing one letter.
@@ -257,7 +266,15 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
     """Per-length class scan over Lyndon words (see the module docstring)."""
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
-    tree = _left_tree(a, b, min(max_len, _TREE_DEPTH))
+    shallow = min(max_len, _TREE_DEPTH)
+    buffer, tree = _left_tree(a, b, shallow)
+    # every Lyndon word up to the tree depth in one gather and one _rhos
+    # call; roots per length, so that numpy's power keeps its paths for
+    # a scalar exponent (0.5 is a sqrt)
+    short_codes = [lyndon_codes(k) for k in range(1, shallow + 1)]
+    ends = np.cumsum([0] + [len(c) for c in short_codes]).tolist()
+    short_rhos = _rhos(buffer[np.concatenate(
+        [c + ((1 << k) - 1) for k, c in enumerate(short_codes, 1)])])
     if max_len > _TREE_DEPTH:
         heads = np.sqrt(0.5 * _floored_norms(tree[_TREE_DEPTH]))
         tails = [np.sqrt(0.5 * _floored_norms(level))
@@ -269,11 +286,13 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
     kept: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     for k in range(1, max_len + 1):
-        codes = lyndon_codes(k)
-        if k > _TREE_DEPTH:
-            codes = _candidates(tree, heads, tails, codes, k, a, b,
+        if k <= _TREE_DEPTH:
+            codes = short_codes[k - 1]
+            roots = short_rhos[ends[k - 1]:ends[k]] ** (1.0 / k)
+        else:
+            codes = _candidates(tree, heads, tails, lyndon_codes(k), k, a, b,
                                 max(best_root[1:k]), tie_tol)
-        roots = _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
+            roots = _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
         i = int(np.argmax(roots))  # first occurrence = lex-least on ties
         best_root[k] = float(roots[i])
         best_word[k] = format(int(codes[i]), f"0{k}b")
@@ -298,19 +317,24 @@ def norm_profile(a, b, max_len: int):
 
     # right-associated: level k is [A @ level k-1, B @ level k-1], each
     # product P held as the rows of P^T, so that A @ P is the one GEMM
-    # rows(P^T) @ A^T per level (see the module docstring)
+    # rows(P^T) @ A^T per level (see the module docstring).  One buffer
+    # holds every level, level k from row 2^(k+1) - 4 on; one norm pass
+    # covers them all.
+    shallow = min(max_len, _TREE_DEPTH)
     at, bt = a.T.copy(), b.T.copy()
-    rows, out = np.concatenate([at, bt]), [math.nan]
-    for k in range(1, min(max_len, _TREE_DEPTH) + 1):
-        if k > 1:
-            level = np.empty((2, len(rows), 2))
-            np.matmul(rows, at, out=level[0])
-            np.matmul(rows, bt, out=level[1])
-            rows = level.reshape(-1, 2)
-        norms = _transposed_norms(rows)
-        out.append(math.sqrt(0.5 * float(norms.max())) ** (1.0 / k))
+    tree = np.empty(((4 << shallow) - 4, 2))
+    tree[:4] = np.concatenate([at, bt])
+    for k in range(2, shallow + 1):
+        shorter = tree[(1 << k) - 4:(2 << k) - 4]
+        level = tree[(2 << k) - 4:(4 << k) - 4].reshape(2, -1, 2)
+        np.matmul(shorter, at, out=level[0])
+        np.matmul(shorter, bt, out=level[1])
+    norms = _transposed_norms(tree)
+    peaks = np.maximum.reduceat(norms, (2 << np.arange(shallow)) - 2).tolist()
+    out = [math.nan] + [math.sqrt(0.5 * m) ** (1.0 / k) for k, m in enumerate(peaks, 1)]
     if max_len <= _TREE_DEPTH:
         return out
+    rows, norms = tree[(2 << _TREE_DEPTH) - 4:], norms[(1 << _TREE_DEPTH) - 2:]
 
     # deeper words: each left-associated prefix P times the top level, whose
     # rows are sorted by norm so that the rows P can still need (see
@@ -318,7 +342,7 @@ def norm_profile(a, b, max_len: int):
     order = np.argsort(norms)[::-1]
     srows = rows.reshape(-1, 2, 2)[order].reshape(-1, 2)
     n_suffix = np.maximum(norms[order], _N_FLOOR)
-    prefixes = _left_tree(a, b, max_len - _TREE_DEPTH)
+    _, prefixes = _left_tree(a, b, max_len - _TREE_DEPTH)
     for k in range(_TREE_DEPTH + 1, max_len + 1):
         level = prefixes[k - _TREE_DEPTH]
         transposed = level.transpose(0, 2, 1).copy()

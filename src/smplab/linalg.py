@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "Mat2",
     "MatrixPair",
@@ -50,6 +52,10 @@ __all__ = [
 ]
 
 
+# entries that float() would take but that are not numbers
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 @dataclass(frozen=True, slots=True)
 class Mat2:
     """A real 2x2 matrix, stored row-major as four numbers.
@@ -72,11 +78,14 @@ class Mat2:
 
     def checked(self) -> "Mat2":
         """This matrix with float entries; ValueError names a non-finite one,
-        or one that ``float()`` refuses to take (None, a list)."""
+        or one that is not a number: a string or a boolean, which ``float()``
+        would take, or what it refuses (None, a list)."""
         entries = []
         for name in ("a11", "a12", "a21", "a22"):
             raw = getattr(self, name)
             try:
+                if isinstance(raw, _NOT_NUMBERS):
+                    raise TypeError
                 v = float(raw)
             except TypeError:
                 raise ValueError(f"matrix entry {name} is not a number: {raw!r}") from None

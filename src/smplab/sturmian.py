@@ -29,9 +29,21 @@ sample, a real violation, a tol too small for the allowance, or slopes
 with 17-bit numerators or denominators) does the exact pass run: it
 compares all n(n-1)/2 sample pairs by exact reduced integer midpoint
 keys, vectorized in blocks of rows so memory stays O(n * block), and it
-gives the violation list either way.  Values can differ from the
-letter-by-letter product of ``lyapunov_rational`` in the last bits
-(below 1e-13 relative on the checked pairs); grids and argmax do not.
+gives the violation list either way.
+
+Stopping on a concave bracket.  Concavity also bounds f between the
+samples: once a descent has sampled both sides of its best sample x0,
+f can exceed f(x0) only in the two gaps next to x0, and there only up to
+the lower of the two outer secants of each gap.  ``jsr.certify`` stops
+its descent once that bound U is within a relative 1e-12 of f(x0)
+(``maximize_sturmian(..., bracket_stop=True)``): a few dozen samples
+where the full descent takes 1027 or more at 1/1024, with the same
+argmax and value on every checked pair.  U only decides when to stop;
+it is not printed, so ``upper`` stays the brute-force bound.
+
+Values can differ from the letter-by-letter product of
+``lyapunov_rational`` in the last bits (below 1e-13 relative on the
+checked pairs); grids and argmax do not.
 """
 
 from __future__ import annotations
@@ -310,8 +322,32 @@ def _audit(samples: dict[Fraction, float],
                          [samples[g] for g in gammas], tol)
 
 
+_BRACKET_EPS = 1e-12  # relative slack of the bracket stop; samples agree to 5.5e-14
+
+
+def _gap_bound(a, u, v, b, values: dict) -> float:
+    """Largest value on [u, v] of the lower of the secants through (a, u)
+    and through (v, b), for adjacent samples a < u < v < b given as
+    (num, den) with finite values; a or b is None where there is no
+    sample, and then its secant bounds nothing.
+    """
+    fu, fv = values[u], values[v]
+    tu, tv = u[0] / u[1], v[0] / v[1]
+    if b is None:
+        return max(fu, fu + (fu - values[a]) / (tu - a[0] / a[1]) * (tv - tu))
+    sb = (values[b] - fv) / (b[0] / b[1] - tv)
+    if a is None:
+        return max(fv + sb * (tu - tv), fv)
+    sa = (fu - values[a]) / (tu - a[0] / a[1])
+    if sa > sb:  # as concavity has it: the lower secant peaks where they cross
+        t = min(max((fv - fu + sa * tu - sb * tv) / (sa - sb), tu), tv)
+        return min(fu + sa * (t - tu), fv + sb * (t - tv))
+    return max(min(fu, fv + sb * (tu - tv)), min(fu + sa * (tv - tu), fv))
+
+
 def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
-                      audit_tol: float = 1e-10) -> ConcavityReport:
+                      audit_tol: float = 1e-10, *,
+                      bracket_stop: bool = False) -> ConcavityReport:
     """Locate the maximizing Sturmian parameter by mediant descent.
 
     Maintains a bracket (l, m, r) with l, m and m, r Stern-Brocot
@@ -337,6 +373,43 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
     certificate of ``_sorted_audit``, with the exact pairwise pass only when
     the certificate fails: the violations, and so the report, are the same
     as the exact pass alone gives.  Each grid Fraction is built once.
+
+    With ``bracket_stop`` the descent also stops, at the head of a step,
+    once concavity leaves no slope whose value exceeds that of the best
+    sample x0 (the best of the incumbent, 0/1 and 1/1; every other sample
+    lies at or below the incumbent) by more than a relative _BRACKET_EPS.
+    Let s1 < s2 be the next samples right of x0, and s-1 > s-2 the next
+    ones left of it.  Concavity gives, for any r < m < t,
+
+        f(m) >= ((t - m) f(r) + (m - r) f(t)) / (t - r),
+
+    that is, f(t) lies below the secant through r and m beyond m, and
+    f(r) below it before r.  So:
+
+    - outside [s-1, s1] nothing exceeds f(x0): for t > s1, taking
+      (r, m) = (x0, s1) makes f(t) > f(x0) force f(s1) > f(x0), and the
+      left side mirrors it;
+    - on a gap (u, v) next to x0, f lies below the secant through the
+      sample before u and u, and below the one through v and the sample
+      after v (where those samples exist), so below the lower of the
+      two.  That is largest where the two cross, clipped to the gap
+      (``_gap_bound`` also takes the gap's ends, which decide when the
+      secants' slopes do not have the signs concavity gives them).
+
+    With U the larger of the two gaps' bounds, the descent stops when
+    U - f(x0) <= _BRACKET_EPS max(1, |f(x0)|) and every value involved is
+    finite.  Near a maximizer p/q the Christoffel words are W^n V, so f
+    is linear in the slope up to terms geometric in n, the secants meet
+    f, and the stop comes after a few dozen samples where the full
+    descent takes 1027 or more at 1/1024.  U only decides when to stop.
+    It is never reported: printing it as a bound would need (i) the
+    result that a Sturmian measure is maximizing on this region, (ii)
+    concavity at irrational slopes too, and (iii) outward rounding of
+    the samples that define it.  So ``jsr.certify`` keeps brute force's
+    ``upper`` and ``certified`` false.  ``resolution`` still caps the
+    descent, and the audit still runs on every evaluated sample.
+    ``jsr.certify`` sets the flag; ``smplab sturmian`` keeps the full
+    resolution grid.
     """
     flags = classify(p)
     if flags.in_copar is not True:
@@ -350,10 +423,11 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
     res_num, res_den = resolution.numerator, resolution.denominator
 
     # slope (num, den) -> cycle product as (matrix, logscale), f there, and
-    # the next larger sample
+    # the next larger and the next smaller sample
     products: dict[tuple[int, int], tuple[Mat2, float]] = {}
     values: dict[tuple[int, int], float] = {}
     after: dict[tuple[int, int], tuple[int, int]] = {}
+    before: dict[tuple[int, int], tuple[int, int]] = {}
 
     def store(g: tuple[int, int], prod: Mat2, logscale: float) -> None:
         products[g] = (prod, logscale)
@@ -368,15 +442,30 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
             store(g, *renormalized(pa @ pb, la + lb))
             # no sample lies between the neighbours a < b before their mediant
             after[a], after[g] = g, b
+            before[b], before[g] = g, a
         return g
+
+    def settled() -> bool:
+        """The bracket stop: concavity leaves nothing above f(x0) beyond slack."""
+        x0 = max(mid, (0, 1), (1, 1), key=values.__getitem__)
+        lo, hi = before.get(x0), after.get(x0)
+        lo2, hi2 = before.get(lo), after.get(hi)
+        if not all(math.isfinite(values[g]) for g in (lo2, lo, x0, hi, hi2) if g):
+            return False
+        f0 = values[x0]
+        bound = max(_gap_bound(lo2, lo, x0, hi, values) if lo else f0,
+                    _gap_bound(lo, x0, hi, hi2, values) if hi else f0)
+        return bound - f0 <= _BRACKET_EPS * max(1.0, abs(f0))
 
     left, right = (0, 1), (1, 1)
     store(left, *scaled_letter(p.A))
     store(right, *scaled_letter(p.B))
-    after[left] = right
+    after[left], before[right] = right, left
     mid = sample(left, right)
     # right - left >= resolution, cross-multiplied
     while (right[0] * left[1] - left[0] * right[1]) * res_den >= res_num * left[1] * right[1]:
+        if bracket_stop and settled():
+            break
         ml = sample(left, mid)
         if values[ml] > values[mid]:
             mid, right = ml, mid

@@ -319,11 +319,15 @@ def test_smp_overflow_exits_1_with_an_error_line_and_no_traceback(tmp_path):
     pytest.param("1e999", "not finite: inf", id="1e999-inf"),
     pytest.param("-Infinity", "not finite: -inf", id="-Infinity--inf"),
     pytest.param("null", "not a number: None", id="null-None"),
-    pytest.param("[1, 2]", "not a number: [1, 2]", id="list-[1, 2]")])
+    pytest.param("[1, 2]", "not a number: [1, 2]", id="list-[1, 2]"),
+    pytest.param('"2"', "not a number: '2'", id="string-2"),
+    pytest.param('" 1 "', "not a number: ' 1 '", id="string-spaced-1"),
+    pytest.param("true", "not a number: True", id="true-True")])
 def test_non_finite_pair_entry_exits_1_and_fails_only_its_batch_line(
         tmp_path, capsys, literal, shown):
     # json.loads reads NaN, Infinity and 1e999 (as inf) without complaint;
-    # null and a nested list reach float() as None and a list
+    # null and a nested list reach float() as None and a list, and float()
+    # would take a string or a boolean
     good = json.dumps({"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, 1]]})
     bad = '{"A": [[2, 0], [0, 0.5]], "B": [[1, 1], [1, %s]]}' % literal
     message = f"matrix entry a22 is {shown}"

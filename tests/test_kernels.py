@@ -57,7 +57,7 @@ def test_kernels_bit_identical_on_ties_zeros_and_unscaled_input(rng):
         tuple(random_pair(rng).A.entries() for _ in range(2)),  # norms above 1
     ]
     for a, b in cases:
-        for max_len in (1, 6, 15):
+        for max_len in (1, 2, 6, 14, 15):
             _assert_matches_reference(a, b, max_len, tie_tol=1e-6)
 
 
@@ -180,7 +180,7 @@ def test_flat_gemm_rounds_as_per_product_matmul(n, seed, hard):
         # left tree and tail steps: rows(P) @ M
         for m in (a, b):
             assert np.array_equal(_bits(prev.reshape(-1, 2) @ m), _bits(prev @ m).reshape(-1, 2))
-        tree = kernels._left_tree(a, b, 6)
+        _, tree = kernels._left_tree(a, b, 6)
         for shorter, level in zip(tree, tree[1:]):
             expect = np.stack([shorter @ a, shorter @ b], axis=1).reshape(-1, 2, 2)
             assert np.array_equal(_bits(level), _bits(expect))

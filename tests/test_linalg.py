@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,8 +220,13 @@ def test_mat2_is_a_plain_ieee_value():
 
 
 def test_matrix_pair_rejects_non_numeric_entries():
-    with pytest.raises(ValueError, match="could not convert"):
-        MatrixPair.from_json_dict({"A": [[1, "x"], [0, 1]], "B": [[1, 0], [0, 1]]})
+    # float() takes "2", " 1 ", b"1" and the booleans, but they are not numbers
+    for raw in ("x", "2", " 1 ", b"1", True, False, np.True_):
+        message = f"^matrix entry a12 is not a number: {re.escape(repr(raw))}$"
+        with pytest.raises(ValueError, match=message):
+            MatrixPair.from_json_dict({"A": [[1, raw], [0, 1]], "B": [[1, 0], [0, 1]]})
+    numbers = MatrixPair(Mat2(np.float32(0.5), np.int64(2), 3, 0.25), Mat2.identity())
+    assert numbers.A == Mat2(0.5, 2.0, 3.0, 0.25)
     with pytest.raises(ValueError, match=r"^matrix entry a12 is not a number: None$"):
         MatrixPair.from_json_dict({"A": [[1, None], [0, 1]], "B": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError, match=r"^matrix entry a21 is not a number: \[0\]$"):

@@ -132,3 +132,17 @@ def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
         literals += 1
         assert out == comment + "\n", command
     assert literals == 4
+
+
+def test_every_bench_file_names_its_kernel_backend():
+    # a committed speed claim counts only with the backend it was measured on
+    import json
+
+    from smplab import kernels
+
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert len(paths) >= 11
+    for path in paths:
+        record = json.loads(path.read_text())
+        backends = {record.get(key, {}).get("backend") for key in ("stamp", "host")}
+        assert kernels.BACKEND in backends, path.name
