@@ -33,9 +33,11 @@ from . import kernels
 from .linalg import (
     Mat2,
     MatrixPair,
+    RENORM_RANGE,
     operator_norm_2,
     renormalized,
     spectral_radius,
+    spectral_radius_entries,
     spectrum,
     SpectrumKind,
     unit_scaled,
@@ -211,7 +213,8 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     """Scan n -> rho(P^n Q)^(1/(n+1)) with a rigorous stopping rule.
 
     P is A and Q is B for direction "A_pow_B"; swapped for "B_pow_A"
-    (rho(B^n A) equals rho(A B^n) by cyclic invariance).  Termination:
+    (rho(B^n A) equals rho(A B^n) by cyclic invariance).  n runs from 0
+    to ``cap``; a negative ``cap`` raises ValueError.  Termination:
     once alpha = |P^n|^(1/n) drops strictly below the running best,
     submultiplicativity gives |P^m| <= K alpha^m with
     K = max_s<n |P^s| / alpha^s, hence
@@ -221,6 +224,17 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     for all m beyond an explicit M0; scanning to M0 certifies the rest.
     Powers are tracked with running renormalization, so the scan is safe
     at any spectral radius.
+
+    The loop holds P^n as four floats and forms P^n Q and P^(n+1) with
+    the products and sums of ``Mat2.__matmul__``, in the same order, so
+    each step rounds as the ``Mat2`` recurrence
+    ``renormalized(cur @ P, log)`` does; ``renormalized`` runs only when
+    the largest entry leaves its band.  |P^n| is taken only where the tail
+    test reads it: at every n <= 512 and then at every 128th n.  K needs
+    every |P^s| with s < n, so when alpha drops below the best the missing
+    norms are filled by replaying that ``Mat2`` recurrence from the last
+    power whose norm was kept; being the same operations on the same
+    floats, the replay meets the same powers bit for bit.
     """
     if direction == "A_pow_B":
         pm, qm = p.A, p.B
@@ -228,6 +242,8 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
         pm, qm = p.B, p.A
     else:
         raise ValueError(f"direction must be 'A_pow_B' or 'B_pow_A', got {direction!r}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if pm.is_zero():
         raise ValueError("powered matrix is zero")
     if qm.is_zero():
@@ -237,38 +253,55 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     pm_s = pm.divided_by(s)
     qm_s = qm.divided_by(s)
     log_nq = math.log(operator_norm_2(qm_s))
+    p11, p12, p21, p22 = pm_s.entries()
+    q11, q12, q21, q22 = qm_s.entries()
+    lo, hi = RENORM_RANGE
 
     best = spectral_radius(pm_s)  # the pure-power member of the supremum
     best_n: int | None = None
-    log_norms = [0.0]  # log |P^n| for n = 0, 1, ...
-    cur = Mat2.identity()
+    log_norms = [0.0]  # log |P^m| for m = 0 .. len - 1
+    kept = (Mat2.identity(), 0.0)  # P^(len - 1), renormalized, and its log scale
+    c11, c12, c21, c22 = 1.0, 0.0, 0.0, 1.0  # P^n, renormalized
     cur_log = 0.0
     terminated = False
     n = 0
     while n <= cap:
-        prod = cur @ qm_s
-        r = spectral_radius(prod)
+        r = spectral_radius_entries(c11 * q11 + c12 * q21, c11 * q12 + c12 * q22,
+                                    c21 * q11 + c22 * q21, c21 * q12 + c22 * q22)
         if r > 0.0:
             root = math.exp((math.log(r) + cur_log) / (n + 1))
             if root > best:
                 best = root
                 best_n = n
         # tail certificate (checked densely early, then throttled)
-        if n >= 1 and best > 0.0 and (n <= 512 or n % 128 == 0):
-            alpha_log = log_norms[n] / n
-            if alpha_log < math.log(best):
+        if n >= 1 and (n <= 512 or n % 128 == 0):
+            cur = Mat2(c11, c12, c21, c22)
+            log_norm = math.log(operator_norm_2(cur)) + cur_log
+            alpha_log = log_norm / n
+            if best > 0.0 and alpha_log < math.log(best):
+                w, w_log = kept
+                while len(log_norms) < n:
+                    w, w_log = renormalized(w @ pm_s, w_log)
+                    log_norms.append(math.log(operator_norm_2(w)) + w_log)
                 k_log = max(log_norms[m] - m * alpha_log for m in range(n))
                 num = k_log + log_nq - alpha_log
                 den = math.log(best) - alpha_log
                 if num <= 0.0 or n >= num / den - 1.0:
                     terminated = True
                     break
-        cur, cur_log = renormalized(cur @ pm_s, cur_log)
+            if len(log_norms) == n:
+                log_norms.append(log_norm)
+                kept = (cur, cur_log)
+        c11, c12, c21, c22 = (c11 * p11 + c12 * p21, c11 * p12 + c12 * p22,
+                              c21 * p11 + c22 * p21, c21 * p12 + c22 * p22)
         n += 1
-        if cur.is_zero():  # nilpotent power: every later product vanishes
+        big = max(abs(c11), abs(c12), abs(c21), abs(c22))
+        if big == 0.0:  # nilpotent power: every later product vanishes
             terminated = True
             break
-        log_norms.append(math.log(operator_norm_2(cur)) + cur_log)
+        if big > hi or big < lo:
+            cur, cur_log = renormalized(Mat2(c11, c12, c21, c22), cur_log)
+            c11, c12, c21, c22 = cur.entries()
 
     return GelfandScan(direction=direction, n_star=best_n, value=best * s,
                        terminated=terminated, scanned=n)

@@ -36,6 +36,7 @@ __all__ = [
     "ReducibilityReport",
     "spectrum",
     "spectral_radius",
+    "spectral_radius_entries",
     "operator_norm_2",
     "five_tuple",
     "word_product",
@@ -281,11 +282,20 @@ def spectrum(m: Mat2, repeated_tol: float = 1e-12) -> Spectrum:
 
 def spectral_radius(m: Mat2) -> float:
     """Spectral radius of a 2x2 matrix without building a Spectrum object."""
-    scale = m.max_abs()
+    return spectral_radius_entries(m.a11, m.a12, m.a21, m.a22)
+
+
+def spectral_radius_entries(a11: float, a12: float, a21: float, a22: float) -> float:
+    """``spectral_radius`` of the matrix with these row-major entries.
+
+    The closed form lives here, for loops that hold a product as four
+    floats instead of a ``Mat2``.
+    """
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     if scale > 1e100 or 0.0 < scale < 1e-100:
-        return scale * spectral_radius(m.divided_by(scale))
-    t = m.trace()
-    d = m.det()
+        return scale * spectral_radius(Mat2(a11, a12, a21, a22).divided_by(scale))
+    t = a11 + a22
+    d = a11 * a22 - a12 * a21
     disc = t * t - 4.0 * d
     if disc >= 0.0:
         return 0.5 * (abs(t) + math.sqrt(disc))
@@ -354,11 +364,16 @@ def scaled_letter(m: Mat2) -> tuple[Mat2, float]:
     return m.divided_by(scale), math.log(scale)
 
 
+# the band that ``renormalized`` keeps a running product's largest entry in
+RENORM_RANGE = (1e-120, 1e120)
+
+
 def renormalized(m: Mat2, logscale: float) -> tuple[Mat2, float]:
     """``exp(logscale) * m`` as ``(M, logscale')``, divided by its largest
-    entry when that has left [1e-120, 1e120] (a zero matrix stays)."""
+    entry when that has left ``RENORM_RANGE`` (a zero matrix stays)."""
     s = m.max_abs()
-    if s != 0.0 and (s > 1e120 or s < 1e-120):
+    lo, hi = RENORM_RANGE
+    if s != 0.0 and (s > hi or s < lo):
         return m.divided_by(s), logscale + math.log(s)
     return m, logscale
 

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_scan
 from conftest import random_pair
+from smplab import jsr
 from smplab.constructions import (
     counterexample_family,
     polygon_operator_norm,
     realize_from_tuple,
 )
 from smplab.jsr import brute_force, certify, gelfand_scan
-from smplab.linalg import (FiveTuple, Mat2, MatrixPair, conjugated, spectral_radius,
-                           word_product)
+from smplab.linalg import (FiveTuple, Mat2, MatrixPair, conjugated, operator_norm_2,
+                           spectral_radius, word_product)
 from smplab.regions import classify
 
 DIAG_ONES = MatrixPair(Mat2(2, 0, 0, 0.5), Mat2(1, 1, 1, 1))
@@ -120,6 +122,94 @@ def test_gelfand_direction_words():
     scan = gelfand_scan(p, "B_pow_A")
     if scan.n_star is not None:
         assert scan.word == "0" + "1" * scan.n_star
+
+
+# Power scan: repr-identical to the frozen Mat2 loop of tests/reference_scan.py
+_SCAN_ROWS = np.random.default_rng(0).standard_normal((20000, 8))
+_NILPOTENT = (Mat2(0, 1, 0, 0), Mat2(2, 4, -1, -2))  # rho = 0: P^2 == 0 exactly
+
+
+def _row_pair(i: int, c: float = 1.0) -> MatrixPair:
+    row = _SCAN_ROWS[i] * c
+    return MatrixPair(Mat2(*row[:4]), Mat2(*row[4:]))
+
+
+def _assert_same_scans(p: MatrixPair, caps) -> None:
+    for d in ("A_pow_B", "B_pow_A"):
+        for cap in caps:
+            assert repr(gelfand_scan(p, d, cap)) == \
+                repr(reference_scan.gelfand_scan(p, d, cap)), (p, d, cap)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-150, 1e150, 1e-310])
+def test_gelfand_scan_matches_the_frozen_reference(c):
+    for i in range(40):
+        _assert_same_scans(_row_pair(i, c), (0, 1, 600))
+    for i in (0, 5):  # scans that run to the default cap one way
+        _assert_same_scans(_row_pair(i, c), (10_000,))
+
+
+@pytest.mark.parametrize("row,scanned", [(2362, 1536), (4418, 1152), (15782, 640)])
+def test_gelfand_scan_replays_the_powers_it_skipped(row, scanned):
+    # terminating past n = 512 reads norms the loop did not take
+    p = _row_pair(row)
+    assert gelfand_scan(p).scanned == scanned
+    _assert_same_scans(p, (10_000,))
+
+
+def _recorded(monkeypatch, module, name: str, entries) -> list[str]:
+    seen = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        seen.append(repr(entries(*args)))
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("row,d", [(0, "B_pow_A"), (5, "A_pow_B"), (2362, "A_pow_B")])
+def test_gelfand_scan_forms_every_power_as_the_reference_does(monkeypatch, row, d):
+    # a GelfandScan rarely shows the last bit of a power, but the matrices
+    # handed to rho and |.| do; these scans renormalize, and 2362 replays
+    p = _row_pair(row)
+    rhos = _recorded(monkeypatch, jsr, "spectral_radius_entries", lambda *e: e)
+    norms = _recorded(monkeypatch, jsr, "operator_norm_2", Mat2.entries)
+    ref_rhos = _recorded(monkeypatch, reference_scan, "spectral_radius", Mat2.entries)
+    ref_norms = _recorded(monkeypatch, reference_scan, "operator_norm_2", Mat2.entries)
+    gelfand_scan(p, d)
+    reference_scan.gelfand_scan(p, d)
+    assert rhos == ref_rhos[1:]  # the reference takes rho(P) through it first
+    assert norms[:3] == ref_norms[:3]  # the scale s and |Q|
+    assert set(norms[3:]) <= set(ref_norms[3:])
+
+
+def test_gelfand_scan_matches_the_frozen_reference_on_nilpotent_powers():
+    for pm in _NILPOTENT:
+        for qm in (Mat2(1, 2, 3, 4), Mat2(0, 0, 1, 0), *_NILPOTENT):
+            _assert_same_scans(MatrixPair(pm, qm), (0, 1, 600))
+
+
+def test_gelfand_scan_takes_norms_only_where_the_tail_test_reads_them(monkeypatch):
+    calls = 0
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return operator_norm_2(m)
+
+    monkeypatch.setattr(jsr, "operator_norm_2", counted)
+    scan = gelfand_scan(_row_pair(5))  # power-dominated: rho(A) is the supremum
+    assert (scan.n_star, scan.terminated, scan.scanned) == (None, False, 10_001)
+    assert calls <= 512 + 10_000 // 128 + 4  # one per step before
+
+
+def test_gelfand_scan_rejects_a_negative_cap():
+    p = _row_pair(5)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        gelfand_scan(p, cap=-1)
+    assert gelfand_scan(p, cap=0).scanned == 1
 
 
 def test_certify_crossing_tie():
