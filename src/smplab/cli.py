@@ -114,8 +114,8 @@ def _cmd_jsr(opts) -> int:
 
     if opts.get("batch"):
         return _run_batch(opts["batch"], lambda pair: brute_force(
-            pair, opts["max_len"], opts["norm"]).to_json_dict())
-    report = brute_force(_load_pair(opts["pair"]), opts["max_len"], opts["norm"])
+            pair, opts["max_len"]).to_json_dict())
+    report = brute_force(_load_pair(opts["pair"]), opts["max_len"])
     _emit_json(report.to_json_dict())
     return 0
 
@@ -291,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("jsr", _cmd_jsr, help="brute-force bounds report")
     add_pair(p, batch=True)
     p.add_argument("--max-len", type=int, default=12, dest="max_len")
-    p.add_argument("--norm", default="euclid", choices=["euclid"])
 
     p = add("smp", _cmd_smp, help="certified or candidate optimal product")
     add_pair(p, batch=True)

@@ -16,9 +16,8 @@ Cayley-Hamilton (M^2 = tr(M) M - det(M) I) and its linearization
     B*AB  = v*A + z*B - v*x*I    AB*B  = y*AB - v*A
     AB*AB = z*AB - u*v*I
 
-Every row is re-derivable from the two identities above and is verified
-numerically against random matrices by ``_verify_reduction_table``, which
-the test suite runs.
+Every row is re-derivable from the two identities above, and
+tests/test_fricke.py checks each one numerically against random matrices.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import FiveTuple
+from .words import is_primitive
 
 __all__ = [
     "Poly5",
@@ -224,44 +224,6 @@ def monomial_at_uv0(word: str) -> Poly5:
     For a primitive word of signature (m, k, l) this equals
     ``x^(m-l) y^(k-l) z^l``.
     """
-    from .words import is_primitive  # local import avoids a cycle
-
     if not is_primitive(word):
         raise ValueError(f"word is not primitive: {word!r}")
     return fricke_poly(word).substitute_uv0()
-
-
-def _verify_reduction_table(seed: int = 12345, tol: float = 1e-9) -> float:
-    """Numeric spot-check of every reduction row against random matrices.
-
-    Returns the largest relative deviation found; raises AssertionError
-    beyond ``tol``.
-    """
-    import random
-
-    from .linalg import Mat2, MatrixPair, five_tuple
-
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(8):
-        a = Mat2(*(rng.gauss(0, 1) for _ in range(4)))
-        b = Mat2(*(rng.gauss(0, 1) for _ in range(4)))
-        x, y, z, u, v = five_tuple(MatrixPair(a, b))
-        i2 = Mat2.identity()
-        ab = a @ b
-        rows = [
-            (a @ a, x * a - u * i2),
-            (b @ b, y * b - v * i2),
-            (b @ a, x * b + y * a + (z - x * y) * i2 - ab),
-            (a @ ab, x * ab - u * b),
-            (ab @ a, z * a + u * b - (u * y) * i2),
-            (b @ ab, v * a + z * b - (v * x) * i2),
-            (ab @ b, y * ab - v * a),
-            (ab @ ab, z * ab - (u * v) * i2),
-        ]
-        for lhs, rhs in rows:
-            scale = max(1.0, lhs.max_abs())
-            dev = (lhs - rhs).max_abs() / scale
-            worst = max(worst, dev)
-    assert worst <= tol, f"reduction table deviates by {worst:.3e}"
-    return worst

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
 
 from . import kernels
 from .linalg import (
@@ -43,6 +42,7 @@ from .linalg import (
     unit_scaled,
 )
 from .regions import classify
+from .sturmian import maximize_sturmian
 from .words import christoffel
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 MAX_BRUTE_LEN = 24  # cost guard: 2^25 products beyond this
-
-NormSpec = Union[str, Callable[[Mat2], float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,35 +108,16 @@ class BoundsReport:
         }
 
 
-def _norm_profile_custom(a: Mat2, b: Mat2, max_len: int,
-                         norm_fn: Callable[[Mat2], float]) -> list[float]:
-    """Depth-first per-length norm maxima under a user-supplied norm."""
-    best = [0.0] * (max_len + 1)
-
-    def visit(m: Mat2, depth: int) -> None:
-        if depth == max_len:
-            return
-        for child in (m @ a, m @ b):
-            n = norm_fn(child)
-            if n > best[depth + 1]:
-                best[depth + 1] = n
-            visit(child, depth + 1)
-
-    visit(Mat2.identity(), 0)
-    return [math.nan] + [best[k] ** (1.0 / k) for k in range(1, max_len + 1)]
-
-
-def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
+def brute_force(p: MatrixPair, max_len: int = 12,
                 tie_tol: float = 1e-9) -> BoundsReport:
     """Scan all cyclic classes (lower) and all products (upper) up to max_len.
 
     Matrices are pre-scaled by 1/max(|A|_2, |B|_2) (by 1 for an all-zero
     pair), so products keep the same range whatever the pair's scale; the
     reported roots are scale-corrected, and ``tie_tol`` is relative to
-    that max norm.  ``norm`` is "euclid" or any homogeneous matrix norm
-    callable (e.g. a polygon gauge); the lower bound never depends on the
-    norm.  Best-word ties break to the shorter length, then
-    lexicographically.
+    that max norm.  ``upper`` uses the Euclidean operator norm, so
+    ``norm`` in the report is always "euclid".  Best-word ties break to
+    the shorter length, then lexicographically.
     """
     if not 1 <= max_len <= MAX_BRUTE_LEN:
         raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
@@ -149,14 +128,7 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
     best_root, best_word, second_root, ties_raw = kernels.scan_classes(
         a_s.entries(), b_s.entries(), max_len, tie_tol)
 
-    if norm == "euclid":
-        norm_roots = kernels.norm_profile(a_s.entries(), b_s.entries(), max_len)
-        norm_name = "euclid"
-    elif callable(norm):
-        norm_roots = _norm_profile_custom(a_s, b_s, max_len, norm)
-        norm_name = getattr(norm, "__name__", "custom")
-    else:
-        raise ValueError(f"norm must be 'euclid' or a callable, got {norm!r}")
+    norm_roots = kernels.norm_profile(a_s.entries(), b_s.entries(), max_len)
 
     per_length = {
         k: LengthStats(rho_root=best_root[k] * s, rho_word=best_word[k],
@@ -180,7 +152,7 @@ def brute_force(p: MatrixPair, max_len: int = 12, norm: NormSpec = "euclid",
     ties = [w for w, _ in ties_raw]  # by length, then lexicographically
     return BoundsReport(lower=lower, upper=upper, best_word=best_w,
                         second_value=second_value, second_word=second_word,
-                        ties=ties, per_length=per_length, norm=norm_name,
+                        ties=ties, per_length=per_length, norm="euclid",
                         max_len=max_len)
 
 
@@ -388,8 +360,6 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
 def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
                     resolution: Fraction) -> SmpCandidate:
     """``certify`` on q = unit_scaled(p); only the co-parallel route reads p."""
-    from .sturmian import maximize_sturmian  # deferred: sturmian imports regions
-
     flags = classify(q, tol)
     ra = spectral_radius(q.A)
     rb = spectral_radius(q.B)

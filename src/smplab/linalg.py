@@ -49,7 +49,6 @@ __all__ = [
     "commutator_invariant",
     "is_reducible",
     "realizable",
-    "conjugated",
 ]
 
 
@@ -486,9 +485,3 @@ def realizable(t: FiveTuple) -> bool:
     """Whether a real matrix pair attains this 5-tuple."""
     x, y, z, u, v = t
     return min(4.0 * u - x * x, commutator_quintic(x, y, z, u, v)) <= 0.0
-
-
-def conjugated(p: MatrixPair, g: Mat2) -> MatrixPair:
-    """Simultaneous conjugation (g A g^-1, g B g^-1)."""
-    gi = g.inverse()
-    return MatrixPair(g @ p.A @ gi, g @ p.B @ gi)

@@ -304,7 +304,8 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     Signs are first flipped, (x, z) -> (-x, -z) and/or (y, z) -> (-y, -z),
     to reach x, y >= 0; legitimate because negating either matrix moves no
     pair across a region boundary.  Margins are relative to max(x^2, 4|u|)
-    and max(y^2, 4|v|), so rescaling either matrix changes none of them.
+    and max(y^2, 4|v|) (for a nilpotent matrix, z^2 over the other's), so
+    rescaling either matrix changes none of them.
     Requires a realizable tuple.  A negative or NaN ``tol`` raises ValueError.
     """
     if not realizable(t):
@@ -315,8 +316,15 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     if y < 0:
         y, z = -y, -z
 
-    sa = max(x * x, 4.0 * abs(u)) or 1.0
-    sb = max(y * y, 4.0 * abs(v)) or 1.0
+    # A nilpotent (or zero) matrix, x = u = 0, leaves the quintic exactly
+    # -z^2: its scale is z^2 over the other's, so the commutator margin is
+    # -1 (or an exact 0 for z = 0) at any scale, and its own margins are 0.
+    sa = max(x * x, 4.0 * abs(u))
+    sb = max(y * y, 4.0 * abs(v))
+    if not sa:
+        sa = z * z / (sb or 1.0) or 1.0
+    if not sb:
+        sb = z * z / sa or 1.0
     da = x * x - 4.0 * u
     db = y * y - 4.0 * v
 

@@ -70,7 +70,6 @@ __all__ = [
     "lyapunov_irrational",
     "maximize_sturmian",
     "copar_gap",
-    "midpoint_concavity_audit",
 ]
 
 
@@ -277,8 +276,10 @@ def _pairwise_audit(num: list[int], den: list[int], vals: list[float],
 
 def _sorted_audit(num: list[int], den: list[int], vals: list[float],
                   tol: float) -> list[tuple[Fraction, Fraction, float]]:
-    """``_audit`` on slopes num/den already in increasing order, in lowest
-    terms, with their values.
+    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints of
+    the slopes num/den, given in increasing order and in lowest terms, with
+    their values.  Returns the violations (t1, t2, excess) with
+    excess >= tol, in (t1, t2) order.
 
     Hull certificate first.  Let H be any concave function and
     D_i = H(t_i) - f_i.  For t1 < t2 whose midpoint m is a sample,
@@ -307,19 +308,6 @@ def _sorted_audit(num: list[int], den: list[int], vals: list[float],
         if _hull_spread(num, den, vals) + scale + sys.float_info.min < tol / 2:
             return []
     return _pairwise_audit(num, den, vals, tol)
-
-
-def _audit(samples: dict[Fraction, float],
-           tol: float) -> list[tuple[Fraction, Fraction, float]]:
-    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints.
-
-    Returns the violations (t1, t2, excess) with excess >= tol, in
-    (t1, t2) order.  An O(n) upper-hull certificate decides most grids;
-    the exact pairwise pass runs only when it cannot (``_sorted_audit``).
-    """
-    gammas = sorted(samples)
-    return _sorted_audit([g.numerator for g in gammas], [g.denominator for g in gammas],
-                         [samples[g] for g in gammas], tol)
 
 
 _BRACKET_EPS = 1e-12  # relative slack of the bracket stop; samples agree to 5.5e-14
@@ -502,18 +490,3 @@ def copar_gap(p: MatrixPair) -> float:
     rho_ab = spectral_radius((p.A @ p.B).checked())  # unscaled: may overflow
     return rho_ab - spectral_radius(p.A) * spectral_radius(p.B)
 
-
-def midpoint_concavity_audit(p: MatrixPair, max_den: int,
-                             tol: float = 1e-10) -> list[tuple[Fraction, Fraction, float]]:
-    """Audit strict midpoint concavity of f on the Farey grid.
-
-    Evaluates every reduced fraction with denominator <= max_den and
-    returns the violations (empty on a genuinely co-parallel pair).
-    """
-    samples: dict[Fraction, float] = {}
-    for q in range(1, max_den + 1):
-        for a in range(0, q + 1):
-            g = Fraction(a, q)
-            if g not in samples:
-                samples[g] = lyapunov_rational(p, g.numerator, g.denominator).value
-    return _audit(samples, tol)

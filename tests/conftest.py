@@ -12,3 +12,9 @@ def rng():
 def random_pair(rng: np.random.Generator) -> MatrixPair:
     e = rng.standard_normal(8)
     return MatrixPair(Mat2(*e[:4]), Mat2(*e[4:]))
+
+
+def conjugated(p: MatrixPair, g: Mat2) -> MatrixPair:
+    """Simultaneous conjugation (g A g^-1, g B g^-1)."""
+    gi = g.inverse()
+    return MatrixPair(g @ p.A @ gi, g @ p.B @ gi)

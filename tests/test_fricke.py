@@ -1,19 +1,52 @@
+import random
+
 import pytest
 
 from conftest import random_pair
 from smplab.fricke import (
     Poly5,
-    _verify_reduction_table,
     evaluate,
     fricke_poly,
     monomial_at_uv0,
 )
-from smplab.linalg import five_tuple, word_product
+from smplab.linalg import Mat2, MatrixPair, five_tuple, word_product
 from smplab.words import cyclic_rotations, is_primitive
 
 
 def _poly(terms):
     return Poly5(terms)
+
+
+def _verify_reduction_table(seed: int = 12345, tol: float = 1e-9) -> float:
+    """Numeric spot-check of every reduction row against random matrices.
+
+    Returns the largest relative deviation found; raises AssertionError
+    beyond ``tol``.
+    """
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(8):
+        a = Mat2(*(rng.gauss(0, 1) for _ in range(4)))
+        b = Mat2(*(rng.gauss(0, 1) for _ in range(4)))
+        x, y, z, u, v = five_tuple(MatrixPair(a, b))
+        i2 = Mat2.identity()
+        ab = a @ b
+        rows = [
+            (a @ a, x * a - u * i2),
+            (b @ b, y * b - v * i2),
+            (b @ a, x * b + y * a + (z - x * y) * i2 - ab),
+            (a @ ab, x * ab - u * b),
+            (ab @ a, z * a + u * b - (u * y) * i2),
+            (b @ ab, v * a + z * b - (v * x) * i2),
+            (ab @ b, y * ab - v * a),
+            (ab @ ab, z * ab - (u * v) * i2),
+        ]
+        for lhs, rhs in rows:
+            scale = max(1.0, lhs.max_abs())
+            dev = (lhs - rhs).max_abs() / scale
+            worst = max(worst, dev)
+    assert worst <= tol, f"reduction table deviates by {worst:.3e}"
+    return worst
 
 
 def test_reduction_table_numeric():

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_scan
-from conftest import random_pair
+from conftest import conjugated, random_pair
 from smplab import jsr
 from smplab.constructions import (
     counterexample_family,
-    polygon_operator_norm,
     realize_from_tuple,
 )
 from smplab.jsr import brute_force, certify, gelfand_scan
-from smplab.linalg import (FiveTuple, Mat2, MatrixPair, conjugated, operator_norm_2,
+from smplab.linalg import (FiveTuple, Mat2, MatrixPair, operator_norm_2,
                            spectral_radius, word_product)
 from smplab.regions import classify
 
@@ -71,14 +70,9 @@ def test_brute_force_sandwich(rng):
                 br.per_length[k].norm_root + 1e-12
 
 
-def test_brute_force_custom_polygon_norm_pinches_family():
-    fam = counterexample_family(2)
-
-    def gauge_norm(m):
-        return polygon_operator_norm(fam.polygon, m)
-
-    br = brute_force(fam.pair, 8, norm=gauge_norm)
-    assert br.upper == pytest.approx(1.0, abs=1e-12)
+def test_brute_force_finds_family_optimum():
+    br = brute_force(counterexample_family(2).pair, 8)
+    assert br.norm == "euclid"
     assert br.lower == pytest.approx(1.0, abs=1e-10)
     assert br.best_word == "001"
 

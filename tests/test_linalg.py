@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_pair
+from conftest import conjugated, random_pair
 from smplab.constructions import realize_from_tuple, symmetrize
 from smplab.jsr import brute_force, certify, gelfand_scan
 from smplab.linalg import (
@@ -17,7 +17,6 @@ from smplab.linalg import (
     SpectrumKind,
     commutator_invariant,
     commutator_matrix,
-    conjugated,
     five_tuple,
     is_reducible,
     operator_norm_2,
@@ -31,7 +30,7 @@ from smplab.linalg import (
 )
 from smplab.regions import classify, geometric_oracle
 from smplab.sturmian import (copar_gap, lyapunov_irrational, lyapunov_rational,
-                             maximize_sturmian, midpoint_concavity_audit)
+                             maximize_sturmian)
 
 DIAG = Mat2(2, 0, 0, 0.5)
 ONES = Mat2(1, 1, 1, 1)
@@ -318,7 +317,6 @@ PAIR_FUNCTIONS = {
     "linalg.commutator_matrix": lambda p: commutator_matrix(p),
     "linalg.commutator_invariant": lambda p: commutator_invariant(p),
     "linalg.is_reducible": lambda p: is_reducible(p),
-    "linalg.conjugated": lambda p: conjugated(p, Mat2(1.0, 2.0, 0.5, 3.0)),
     "regions.classify": lambda p: classify(p),
     "regions.geometric_oracle": lambda p: geometric_oracle(p),
     "jsr.brute_force": lambda p: brute_force(p, 8),
@@ -328,7 +326,6 @@ PAIR_FUNCTIONS = {
     "sturmian.lyapunov_irrational": lambda p: lyapunov_irrational(p, 0.381966, 6),
     "sturmian.maximize_sturmian": lambda p: maximize_sturmian(p, Fraction(1, 64)).grid,
     "sturmian.copar_gap": lambda p: copar_gap(p),
-    "sturmian.midpoint_concavity_audit": lambda p: midpoint_concavity_audit(p, 6),
     "constructions.symmetrize": lambda p: symmetrize(p),
 }
 

@@ -302,14 +302,14 @@ def _tuple_scaled(t, i, j):
 
 
 _SCALE_TUPLES = [five_tuple(random_pair(np.random.default_rng(s))) for s in range(40)] + [
-    FiveTuple(3, 3, 8, 1, 1), FiveTuple(3, 3, 1, 1, 1), FiveTuple(2, 0, 1, 1, -1)]
+    FiveTuple(3, 3, 8, 1, 1), FiveTuple(3, 3, 1, 1, 1), FiveTuple(2, 0, 1, 1, -1),
+    FiveTuple(0, 0, 1, 0, 0), FiveTuple(0, 3, 2, 0, 1), FiveTuple(0, 2, 0, 0, 1)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(t=st.sampled_from(_SCALE_TUPLES), i=st.integers(-60, 60), j=st.integers(-60, 60))
 def test_classify_tuple_is_scale_free(t, i, j):
-    # per-matrix scales: every flag and margin bit for bit, at any scale.
-    # (A nilpotent matrix, x = u = 0, has no scale in the invariants.)
+    # per-matrix scales: every flag and margin bit for bit, at any scale
     ref, got = classify_tuple(t), classify_tuple(_tuple_scaled(t, i, j))
     for attr in FLAGS:
         assert getattr(got, attr) == getattr(ref, attr), attr

@@ -15,16 +15,43 @@ from smplab.linalg import FiveTuple, Mat2, MatrixPair, spectral_radius, word_pro
 from smplab.regions import classify
 from smplab.sturmian import (
     ConcavityViolation,
-    _audit,
     copar_gap,
     lyapunov_irrational,
     lyapunov_rational,
     maximize_sturmian,
-    midpoint_concavity_audit,
 )
 from smplab.words import christoffel, mechanical_prefix, words_with_counts
 
 COPAR = realize_from_tuple(FiveTuple(3, 3, 8, 1, 1))
+
+
+def _audit(samples: dict[Fraction, float],
+           tol: float) -> list[tuple[Fraction, Fraction, float]]:
+    """Check f(mid) > (f(t1)+f(t2))/2 - tol over all in-grid midpoints.
+
+    Returns the violations (t1, t2, excess) with excess >= tol, in
+    (t1, t2) order, through the library's hull-then-exact audit.
+    """
+    gammas = sorted(samples)
+    return sturmian._sorted_audit([g.numerator for g in gammas],
+                                  [g.denominator for g in gammas],
+                                  [samples[g] for g in gammas], tol)
+
+
+def midpoint_concavity_audit(p: MatrixPair, max_den: int,
+                             tol: float = 1e-10) -> list[tuple[Fraction, Fraction, float]]:
+    """Audit strict midpoint concavity of f on the Farey grid.
+
+    Evaluates every reduced fraction with denominator <= max_den and
+    returns the violations (empty on a genuinely co-parallel pair).
+    """
+    samples: dict[Fraction, float] = {}
+    for q in range(1, max_den + 1):
+        for a in range(0, q + 1):
+            g = Fraction(a, q)
+            if g not in samples:
+                samples[g] = lyapunov_rational(p, g.numerator, g.denominator).value
+    return _audit(samples, tol)
 
 
 def test_lyapunov_endpoints():

@@ -31,6 +31,39 @@ def test_every_exported_name_resolves():
         assert missing == [], name
 
 
+# Exported functions that the library itself need not call: the public API
+# offered to users.  Any other function in an __all__ that only the tests
+# call belongs in tests/.  lyndon_words leaves once perfbench's tracer reads
+# lyndon_codes instead.
+PUBLIC_API = {"copar_gap", "is_sturmian_word", "sturmian_class_words", "word_product",
+              "is_reducible", "lyndon_words"}
+
+
+def test_every_exported_function_is_used_by_the_library():
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "smplab").rglob("*.py"))}
+    used = set()  # (module, top-level def that holds the reference, name)
+    exported = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None:
+                    used.add((module, owner, name))
+        defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and \
+                    any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                exported |= {(module, n) for n in ast.literal_eval(stmt.value) if n in defs}
+    assert len(exported) > 40 and PUBLIC_API <= {name for _, name in exported}
+    unused = sorted(f"{module}.{name}" for module, name in exported
+                    if name not in PUBLIC_API
+                    and not any(n == name and (m, o) != (module, name) for m, o, n in used))
+    assert unused == []
+
+
 def test_every_subcommand_has_a_golden_stdout_case():
     import argparse
 
