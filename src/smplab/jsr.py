@@ -13,13 +13,18 @@ top of that, the region classification gives exact values:
     negative      JSR = max(rho(A), rho(B), rho(AB)^(1/2))
     mixed         JSR = sup_n { rho(A^n B)^(1/(n+1)), rho(A) }  (or the
                   swapped direction, by the determinant signs); the scan
-                  terminates with a rigorous submultiplicative tail bound
+                  terminates with a rigorous submultiplicative tail bound,
+                  or is skipped when the powered matrix has complex
+                  eigenvalues and a closed form in the five invariants
+                  proves its own rho the supremum
     co-parallel   not certified; the Sturmian optimizer proposes the
                   candidate and brute force brackets it
 
 Known degenerate escapes (a matrix behaving like a scaled reflection or
-rational rotation with modulus at the candidate value) downgrade the
-certificate to a brute-force interval instead of risking a wrong claim.
+rational rotation with modulus at the candidate value) withdraw the
+certificate instead of risking a wrong claim: the negative route falls
+back to a brute-force interval, and the mixed route reports its value
+uncertified, with no ``lower`` or ``upper``.
 """
 
 from __future__ import annotations
@@ -180,6 +185,61 @@ class GelfandScan:
         return "0" + "1" * self.n_star if self.n_star is not None else "1"
 
 
+def _oriented(p: MatrixPair, direction: str) -> tuple[Mat2, Mat2]:
+    """(P, Q) of a scan direction: (A, B) for "A_pow_B", (B, A) for "B_pow_A"."""
+    if direction == "A_pow_B":
+        return p.A, p.B
+    if direction == "B_pow_A":
+        return p.B, p.A
+    raise ValueError(f"direction must be 'A_pow_B' or 'B_pow_A', got {direction!r}")
+
+
+def _scan_setup(pm: Mat2, qm: Mat2) -> tuple[float, Mat2, Mat2, float]:
+    """s = max(|P|_2, |Q|_2), P/s, Q/s and rho(P/s).  The power scan runs on
+    P/s and Q/s from the pure-power member rho(P/s), so rho(P/s) * s is the
+    value it reports when n_star is None."""
+    s = max(operator_norm_2(pm), operator_norm_2(qm))
+    pm_s = pm.divided_by(s)
+    return s, pm_s, qm.divided_by(s), spectral_radius(pm_s)
+
+
+def _power_is_supremum(pm: Mat2, qm: Mat2) -> bool:
+    """Whether rho(P^n Q)^(1/(n+1)) < rho(P) for every n >= 0, in closed form.
+
+    For P with complex eigenvalues, P = r C R(theta) C^-1 with r^2 = det P;
+    with Q' = C^-1 Q C, rho(P^n Q) = r^n rho(R(n theta) Q') <= r^n mu, where
+    mu = sup over phi of rho(R(phi) Q').  The trace of R(phi) Q' runs over
+    [-a, a], a = hypot(q'11 + q'22, q'12 - q'21), and its determinant is
+    v = det Q.  As a^2 - 4v = (q'11 - q'22)^2 + (q'12 + q'21)^2 >= 0,
+    mu = (a + sqrt(a^2 - 4v)) / 2.  If mu < r, no n beats the pure power.
+
+    In the invariants x = tr P, y = tr Q, z = tr PQ, u = det P and v, with
+    b = 4u - x^2 (positive iff P is complex) and t = y^2 b + (2z - xy)^2
+    (which is a^2 b), mu < r reads, squaring sqrt(a^2 - 4v) < 2r - a and
+    then r a < u + v: t < 4ub, u + v > 0 and u t < (u + v)^2 b, the last
+    with a relative margin of 1e-6.  A float screen runs first, and only a
+    pair that passes it is checked exactly, in Fractions of the float
+    entries, so the answer rests on no rounding.
+    """
+    entries = (*pm.entries(), *qm.entries())
+    return _rotation_bound(*entries) and _rotation_bound(*map(Fraction, entries))
+
+
+def _rotation_bound(p11, p12, p21, p22, q11, q12, q21, q22) -> bool:
+    """``_power_is_supremum``'s inequalities on P's and Q's entries, with
+    +, -, * and comparisons only: rounded on floats, exact on Fractions."""
+    x, y = p11 + p22, q11 + q22
+    u, v = p11 * p22 - p12 * p21, q11 * q22 - q12 * q21
+    z = p11 * q11 + p12 * q21 + p21 * q12 + p22 * q22
+    b = 4 * u - x * x
+    if not b > 0:
+        return False
+    w = 2 * z - x * y
+    t = y * y * b + w * w
+    return t < 4 * u * b and u + v > 0 and \
+        (10 ** 6 + 1) * u * t < 10 ** 6 * (u + v) * (u + v) * b
+
+
 def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
                  cap: int = 10_000) -> GelfandScan:
     """Scan n -> rho(P^n Q)^(1/(n+1)) with a rigorous stopping rule.
@@ -208,12 +268,7 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     power whose norm was kept; being the same operations on the same
     floats, the replay meets the same powers bit for bit.
     """
-    if direction == "A_pow_B":
-        pm, qm = p.A, p.B
-    elif direction == "B_pow_A":
-        pm, qm = p.B, p.A
-    else:
-        raise ValueError(f"direction must be 'A_pow_B' or 'B_pow_A', got {direction!r}")
+    pm, qm = _oriented(p, direction)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if pm.is_zero():
@@ -221,15 +276,12 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     if qm.is_zero():
         raise ValueError("companion matrix is zero")
 
-    s = max(operator_norm_2(pm), operator_norm_2(qm))  # > 0: both nonzero
-    pm_s = pm.divided_by(s)
-    qm_s = qm.divided_by(s)
+    s, pm_s, qm_s, best = _scan_setup(pm, qm)  # best: the pure-power member
     log_nq = math.log(operator_norm_2(qm_s))
     p11, p12, p21, p22 = pm_s.entries()
     q11, q12, q21, q22 = qm_s.entries()
     lo, hi = RENORM_RANGE
 
-    best = spectral_radius(pm_s)  # the pure-power member of the supremum
     best_n: int | None = None
     log_norms = [0.0]  # log |P^m| for m = 0 .. len - 1
     kept = (Mat2.identity(), 0.0)  # P^(len - 1), renormalized, and its log scale
@@ -344,6 +396,11 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
     the Sturmian candidate with a brute-force bracket; anything else is
     brute force only.
 
+    The closed-form exit: a direction whose powered matrix P has complex
+    eigenvalues is not scanned when ``_power_is_supremum`` proves, exactly,
+    that no rho(P^n Q)^(1/(n+1)) reaches rho(P).  Its result is the one
+    the scan would give, n_star None and value rho(P), but terminated.
+
     The routes run on ``unit_scaled(p)`` and scale value and bounds back
     by the same exact power of two, so route, word and ties do not depend
     on the scale of p.  The Sturmian descent runs on p: its logs are safe.
@@ -397,13 +454,19 @@ def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
             dirs = ["B_pow_A"]
         else:  # a zero determinant orients ambiguously: scan both ways
             dirs = ["A_pow_B", "B_pow_A"]
-        scans = [gelfand_scan(q, d) for d in dirs]
+        scans = []
+        for d in dirs:
+            pm, qm = _oriented(q, d)
+            if _power_is_supremum(pm, qm):  # the closed-form exit: no scan
+                s, _, _, rho = _scan_setup(pm, qm)
+                scans.append(GelfandScan(d, None, rho * s, True, 0))
+            else:
+                scans.append(gelfand_scan(q, d))
         best = max(scans, key=lambda g: g.value)
         # both directions can name "01"; _argmax_words lists it once
         _, value, ties = _argmax_words([(g.word, g.value) for g in scans], tol)
         certified = all(g.terminated for g in scans)
-        powered = {"A_pow_B": q.A, "B_pow_A": q.B}
-        if any(_looks_like_scaled_rotation(powered[d], value, tol) for d in dirs):
+        if any(_looks_like_scaled_rotation(_oriented(q, d)[0], value, tol) for d in dirs):
             certified = False
         return SmpCandidate(word=best.word, value=value, certified=certified,
                             certificate="mixed-determinants-power-scan"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from smplab.constructions import (
 )
 from smplab.jsr import brute_force, certify, gelfand_scan
 from smplab.linalg import (FiveTuple, Mat2, MatrixPair, operator_norm_2,
-                           spectral_radius, word_product)
+                           spectral_radius, unit_scaled, word_product)
 from smplab.regions import classify
 
 DIAG_ONES = MatrixPair(Mat2(2, 0, 0, 0.5), Mat2(1, 1, 1, 1))
@@ -204,6 +205,94 @@ def test_gelfand_scan_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="cap must be >= 0"):
         gelfand_scan(p, cap=-1)
     assert gelfand_scan(p, cap=0).scanned == 1
+
+
+# The closed-form exit: for complex P, certify skips the power scan when
+# sup over phi of rho(R(phi) Q') < rho(P) in P's rotation basis.
+_CORPUS = [_row_pair(i) for i in range(1000)]  # default_rng(0), (1000, 8)
+
+
+def _exit_directions(p: MatrixPair) -> list[str]:
+    """Directions whose scan certify skips: only P with det P > 0 can pass,
+    and that is the direction (or one of the two) the mixed route scans."""
+    q, _ = unit_scaled(p)
+    if classify(q).in_mix is not True:
+        return []
+    return [d for d in ("A_pow_B", "B_pow_A") if jsr._power_is_supremum(*jsr._oriented(q, d))]
+
+
+_EXITS = [p for p in _CORPUS if _exit_directions(p)]
+
+
+def test_certify_exit_changes_no_answer_and_agrees_with_the_scan(monkeypatch):
+    # only the mixed route consults the exit; both passes scan at cap 600,
+    # the same stand-in on both sides, so the exit alone tells them apart
+    mixed = [p for p in _CORPUS if classify(unit_scaled(p)[0]).in_mix is True]
+    real_scan = jsr.gelfand_scan
+    monkeypatch.setattr(jsr, "gelfand_scan", lambda p, d="A_pow_B", cap=10_000:
+                        real_scan(p, d, min(cap, 600)))
+    with_exit = [repr(certify(p)) for p in mixed]
+    monkeypatch.setattr(jsr, "_power_is_supremum", lambda pm, qm: False)
+    assert [repr(certify(p)) for p in mixed] == with_exit
+    assert len(_EXITS) == 25  # of the corpus's 59 unterminated mixed pairs
+    for p in _EXITS:
+        q, _ = unit_scaled(p)
+        for d in _exit_directions(p):
+            scan = real_scan(q, d)  # to the default cap
+            s, _, _, rho = jsr._scan_setup(*jsr._oriented(q, d))
+            assert (scan.n_star, scan.terminated, scan.value) == (None, False, rho * s)
+
+
+def _transformed(p: MatrixPair, how: str, k: int) -> MatrixPair:
+    if how == "swap":
+        return p.swapped()
+    if how == "transpose":
+        return MatrixPair(p.A.transpose(), p.B.transpose())
+    return MatrixPair(p.A * 2.0 ** k, p.B * 2.0 ** k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 24), how=st.sampled_from(["swap", "transpose", "scale"]),
+       k=st.integers(-1000, 1000))
+def test_certify_exit_is_sound_and_survives_swap_transpose_and_scale(i, how, k):
+    p = _EXITS[i]
+    t = _transformed(p, how, k)
+    with mock.patch.object(jsr, "gelfand_scan", side_effect=AssertionError("scanned")):
+        ref, cand = certify(p), certify(t)
+    mirrored = {"0": "1", "1": "0"}
+    assert cand.word == (mirrored[ref.word] if how == "swap" else ref.word)
+    assert cand.certificate == ref.certificate == "mixed-determinants-power-scan-unterminated"
+    scale = 2.0 ** k if how == "scale" else 1.0
+    assert cand.value / scale == pytest.approx(ref.value, rel=1e-12)
+    assert brute_force(t, 14).lower <= cand.value * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("pm,qm", [
+    # mu = r exactly: rotation by pi/2, and rho(Q) = 1 at phi = 0
+    (Mat2(0, -1, 1, 0), Mat2(1, 0, 0, -0.5)),
+    # mu = r (1 - 1e-8): true, but inside the 1e-6 margin
+    (Mat2(0, -1, 1, 0), Mat2(1 - 1e-8, 0, 0, -(1 - 1e-8) / 2)),
+    # mu = 2 r, although u t < (u + v)^2 b: t < 4ub (a < 2 r) fails
+    (Mat2(0, -1, 1, 0), Mat2(2, 0, 0, 2)),
+    # mu = 2 r with a = 0, although u t < (u + v)^2 b: u + v < 0 fails
+    (Mat2(0, -1, 1, 0), Mat2(0, 2, 2, 0)),
+    # real P, though the inequalities in the invariants hold
+    (Mat2(2, 0, 0, 0.5), Mat2(1, 1, 0.5, 1)),
+    (Mat2(1, 1, 0, 1), Mat2(0.1, 0, 0, -0.1)),  # repeated eigenvalue, a Jordan block
+    (Mat2(2, 0, 0, 2), Mat2(0.1, 0, 0, -0.1)),  # repeated eigenvalue, scalar
+])
+def test_power_is_supremum_declines_without_a_strict_margin(pm, qm):
+    assert not jsr._power_is_supremum(pm, qm)
+
+
+def test_power_is_supremum_accepts_a_clear_margin():
+    pm, qm = Mat2(0, -1, 1, 0), Mat2(0.99, 0, 0, -0.495)  # mu = 0.99 r
+    assert jsr._power_is_supremum(pm, qm)
+    p = MatrixPair(pm, qm)
+    assert classify(p).in_mix is True
+    with mock.patch.object(jsr, "gelfand_scan", side_effect=AssertionError("scanned")):
+        cand = certify(p)
+    assert (cand.word, cand.value) == ("0", 1.0)
 
 
 def test_certify_crossing_tie():

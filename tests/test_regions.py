@@ -303,7 +303,11 @@ def _tuple_scaled(t, i, j):
 
 _SCALE_TUPLES = [five_tuple(random_pair(np.random.default_rng(s))) for s in range(40)] + [
     FiveTuple(3, 3, 8, 1, 1), FiveTuple(3, 3, 1, 1, 1), FiveTuple(2, 0, 1, 1, -1),
-    FiveTuple(0, 0, 1, 0, 0), FiveTuple(0, 3, 2, 0, 1), FiveTuple(0, 2, 0, 0, 1)]
+    FiveTuple(0, 0, 1, 0, 0), FiveTuple(0, 3, 2, 0, 1), FiveTuple(0, 2, 0, 0, 1),
+    # squares of these overflowed: NaN margins before the unit rescaling
+    FiveTuple(1e200, 3, 1, 1, 1), FiveTuple(0, 0, 1e200, 0, 0)] + [
+    _tuple_scaled(t, i, j) for t in (FiveTuple(3, 3, 8, 1, 1), FiveTuple(2, 0, 1, 1, -1))
+    for i, j in ((300, 300), (-300, -300), (300, -300))]  # z, u, v at 2^+-600
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -314,6 +318,14 @@ def test_classify_tuple_is_scale_free(t, i, j):
     for attr in FLAGS:
         assert getattr(got, attr) == getattr(ref, attr), attr
     assert got.margins == ref.margins
+
+
+def test_classify_tuple_of_a_huge_tuple_has_no_nan_margin():
+    # x^2 and z^2 overflowed in doubles: NaN margins, `reducible` None
+    for t in (FiveTuple(1e200, 3, 1, 1, 1), FiveTuple(0, 0, 1e200, 0, 0)):
+        flags = classify_tuple(t)
+        assert flags.reducible is False
+        assert not any(math.isnan(m) for m in flags.margins.values()), t
 
 
 def test_classify_tuple_of_a_small_pair_is_not_indeterminate():
