@@ -151,7 +151,7 @@ def symmetrize(p: MatrixPair, tol: float = 1e-9) -> MatrixPair:
     return MatrixPair(a_sym.ldexp(e), b_sym.ldexp(e))
 
 
-def realize_from_tuple(t: FiveTuple, branch_tol: float = 1e-12) -> MatrixPair:
+def realize_from_tuple(t: FiveTuple) -> MatrixPair:
     """One canonical pair attaining a realizable 5-tuple.
 
     When x^2 - 4u > 0, A is diagonal and B = [[b1, 1], [b3, b4]] solves
@@ -161,18 +161,19 @@ def realize_from_tuple(t: FiveTuple, branch_tol: float = 1e-12) -> MatrixPair:
     boundary the roles of A and B swap if B's discriminant is usable,
     else A becomes a Jordan block and B is solved linearly.  Reducible
     tuples (vanishing commutator quintic) are still realized even though
-    their conjugacy class is not unique.
+    their conjugacy class is not unique.  Each branch test is relative to
+    the scale of the matrix it tests, so no tuple's branch depends on scale.
     """
     t = FiveTuple(*map(float, t))
     if not realizable(t):
         raise ValueError(f"tuple is not attained by any real pair: {tuple(t)!r}")
     x, y, z, u, v = t
     da = x * x - 4.0 * u
-    sa = max(1.0, x * x, 4.0 * abs(u))
+    sa = max(x * x, 4.0 * abs(u))
     db = y * y - 4.0 * v
-    sb = max(1.0, y * y, 4.0 * abs(v))
+    sb = max(y * y, 4.0 * abs(v))
 
-    if da > branch_tol * sa:
+    if da > 1e-12 * sa:
         rd = math.sqrt(da)
         l1 = 0.5 * (x + rd)
         l2 = 0.5 * (x - rd)
@@ -181,12 +182,12 @@ def realize_from_tuple(t: FiveTuple, branch_tol: float = 1e-12) -> MatrixPair:
         b3 = b1 * b4 - v
         return MatrixPair(Mat2(l1, 0.0, 0.0, l2), Mat2(b1, 1.0, b3, b4))
 
-    if da < -branch_tol * sa:
+    if da < -1e-12 * sa:
         s = 0.5 * math.sqrt(-da)
         d = (z - 0.5 * x * y) / s
         disc = d * d + db  # equals -quintic / s^2 >= 0 for realizable tuples
         if disc < 0.0:
-            if disc < -1e-9 * max(1.0, d * d, abs(db)):
+            if disc < -1e-9 * max(d * d, abs(db)):
                 raise ValueError(f"tuple is not realizable: discriminant {disc:.3e}")
             disc = 0.0
         b3 = 0.5 * (-d + math.sqrt(disc))
@@ -195,13 +196,13 @@ def realize_from_tuple(t: FiveTuple, branch_tol: float = 1e-12) -> MatrixPair:
                           Mat2(0.5 * y, b2, b3, 0.5 * y))
 
     # repeated eigenvalues on the A side: try the swapped construction
-    if abs(db) > branch_tol * sb:
-        swapped = realize_from_tuple(FiveTuple(y, x, z, v, u), branch_tol)
+    if abs(db) > 1e-12 * sb:
+        swapped = realize_from_tuple(FiveTuple(y, x, z, v, u))
         return MatrixPair(swapped.B, swapped.A)
 
     # both sides on the boundary: Jordan A, linear solve for B
     b21 = z - 0.5 * x * y
-    if abs(b21) > branch_tol * max(1.0, abs(z), abs(x * y)):
+    if abs(b21) > 1e-12 * max(abs(z), abs(x * y)):
         b12 = (0.25 * y * y - v) / b21
         return MatrixPair(Mat2(0.5 * x, 1.0, 0.0, 0.5 * x),
                           Mat2(0.5 * y, b12, b21, 0.5 * y))

@@ -13,10 +13,11 @@ top of that, the region classification gives exact values:
     negative      JSR = max(rho(A), rho(B), rho(AB)^(1/2))
     mixed         JSR = sup_n { rho(A^n B)^(1/(n+1)), rho(A) }  (or the
                   swapped direction, by the determinant signs); the scan
-                  terminates with a rigorous submultiplicative tail bound,
-                  or is skipped when the powered matrix has complex
-                  eigenvalues and a closed form in the five invariants
-                  proves its own rho the supremum
+                  is terminated when the supremum is proved: by a
+                  rigorous submultiplicative tail bound, by a nilpotent
+                  power, or, with nothing scanned, by a closed form in the
+                  five invariants when the powered matrix has complex
+                  eigenvalues and its own rho is the supremum
     co-parallel   not certified; the Sturmian optimizer proposes the
                   candidate and brute force brackets it
 
@@ -166,9 +167,10 @@ class GelfandScan:
     """Result of maximizing rho(P^n Q)^(1/(n+1)) together with rho(P).
 
     ``n_star`` is None when the pure-power member rho(P) is the maximum.
-    ``terminated`` means the tail bound certified that no larger value
-    exists beyond the scanned range; when False, the value is still a
-    valid lower bound for the supremum.
+    ``terminated`` means the value is proved the supremum: by the tail
+    bound beyond the scanned range, by a nilpotent power, or by the
+    closed form of ``_power_is_supremum``, where ``scanned`` is 0.  When
+    False, the value is still a valid lower bound for the supremum.
     """
 
     direction: str
@@ -192,15 +194,6 @@ def _oriented(p: MatrixPair, direction: str) -> tuple[Mat2, Mat2]:
     if direction == "B_pow_A":
         return p.B, p.A
     raise ValueError(f"direction must be 'A_pow_B' or 'B_pow_A', got {direction!r}")
-
-
-def _scan_setup(pm: Mat2, qm: Mat2) -> tuple[float, Mat2, Mat2, float]:
-    """s = max(|P|_2, |Q|_2), P/s, Q/s and rho(P/s).  The power scan runs on
-    P/s and Q/s from the pure-power member rho(P/s), so rho(P/s) * s is the
-    value it reports when n_star is None."""
-    s = max(operator_norm_2(pm), operator_norm_2(qm))
-    pm_s = pm.divided_by(s)
-    return s, pm_s, qm.divided_by(s), spectral_radius(pm_s)
 
 
 def _power_is_supremum(pm: Mat2, qm: Mat2) -> bool:
@@ -267,6 +260,12 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     norms are filled by replaying that ``Mat2`` recurrence from the last
     power whose norm was kept; being the same operations on the same
     floats, the replay meets the same powers bit for bit.
+
+    The closed-form exit: when ``_power_is_supremum`` proves, exactly, that
+    no rho(P^n Q)^(1/(n+1)) reaches rho(P), nothing is scanned, whatever
+    ``cap``.  The result is the one the scan would give, n_star None and
+    value rho(P), but terminated, with ``scanned`` 0.  The test sees
+    ``unit_scaled(p)``, so its answer does not depend on the scale of p.
     """
     pm, qm = _oriented(p, direction)
     if cap < 0:
@@ -276,7 +275,11 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     if qm.is_zero():
         raise ValueError("companion matrix is zero")
 
-    s, pm_s, qm_s, best = _scan_setup(pm, qm)  # best: the pure-power member
+    s = max(operator_norm_2(pm), operator_norm_2(qm))
+    pm_s, qm_s = pm.divided_by(s), qm.divided_by(s)
+    best = spectral_radius(pm_s)  # the pure-power member
+    if _power_is_supremum(*_oriented(unit_scaled(p)[0], direction)):
+        return GelfandScan(direction, None, best * s, True, 0)
     log_nq = math.log(operator_norm_2(qm_s))
     p11, p12, p21, p22 = pm_s.entries()
     q11, q12, q21, q22 = qm_s.entries()
@@ -396,11 +399,6 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
     the Sturmian candidate with a brute-force bracket; anything else is
     brute force only.
 
-    The closed-form exit: a direction whose powered matrix P has complex
-    eigenvalues is not scanned when ``_power_is_supremum`` proves, exactly,
-    that no rho(P^n Q)^(1/(n+1)) reaches rho(P).  Its result is the one
-    the scan would give, n_star None and value rho(P), but terminated.
-
     The routes run on ``unit_scaled(p)`` and scale value and bounds back
     by the same exact power of two, so route, word and ties do not depend
     on the scale of p.  The Sturmian descent runs on p: its logs are safe.
@@ -454,14 +452,7 @@ def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
             dirs = ["B_pow_A"]
         else:  # a zero determinant orients ambiguously: scan both ways
             dirs = ["A_pow_B", "B_pow_A"]
-        scans = []
-        for d in dirs:
-            pm, qm = _oriented(q, d)
-            if _power_is_supremum(pm, qm):  # the closed-form exit: no scan
-                s, _, _, rho = _scan_setup(pm, qm)
-                scans.append(GelfandScan(d, None, rho * s, True, 0))
-            else:
-                scans.append(gelfand_scan(q, d))
+        scans = [gelfand_scan(q, d) for d in dirs]
         best = max(scans, key=lambda g: g.value)
         # both directions can name "01"; _argmax_words lists it once
         _, value, ties = _argmax_words([(g.word, g.value) for g in scans], tol)

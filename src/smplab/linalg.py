@@ -481,7 +481,27 @@ def is_reducible(p: MatrixPair, tol: float = 1e-9) -> ReducibilityReport:
     return ReducibilityReport(verdict, flags.margins["commutator"])
 
 
+def _unit_tuple(x: float, y: float, z: float, u: float,
+                v: float) -> tuple[float, float, float, float, float]:
+    """The invariants of (2^-a A, 2^-b B): (x, u, z) times (2^-a, 2^-2a, 2^-a)
+    and (y, v, z) times (2^-b, 2^-2b, 2^-b), with 2^a the scale of A's own
+    trace and det (of z for a nilpotent A), and b likewise; exact, barring
+    subnormals."""
+    def exponent(t: float, d: float) -> int:
+        return math.frexp(max(abs(t), math.sqrt(abs(d))))[1]
+
+    a = exponent(x, u)
+    b = exponent(y, v)
+    if not (x or u):  # nilpotent A: z alone carries its scale
+        a = math.frexp(math.ldexp(z, -b))[1]
+    elif not (y or v):
+        b = math.frexp(math.ldexp(z, -a))[1]
+    return (math.ldexp(x, -a), math.ldexp(y, -b), math.ldexp(z, -a - b),
+            math.ldexp(u, -2 * a), math.ldexp(v, -2 * b))
+
+
 def realizable(t: FiveTuple) -> bool:
-    """Whether a real matrix pair attains this 5-tuple."""
-    x, y, z, u, v = t
+    """Whether a real matrix pair attains this 5-tuple; decided on
+    ``_unit_tuple(*t)``, so no square overflows at any finite tuple."""
+    x, y, z, u, v = _unit_tuple(*t)
     return min(4.0 * u - x * x, commutator_quintic(x, y, z, u, v)) <= 0.0

@@ -59,6 +59,7 @@ from .linalg import (
     MatrixPair,
     Spectrum,
     SpectrumKind,
+    _unit_tuple,
     commutator_quintic,
     operator_norm_2,
     realizable,
@@ -298,25 +299,6 @@ def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
     return RegionArrays(*flags, margins)
 
 
-def _unit_tuple(x: float, y: float, z: float, u: float,
-                v: float) -> tuple[float, float, float, float, float]:
-    """The invariants of (2^-a A, 2^-b B): (x, u, z) times (2^-a, 2^-2a, 2^-a)
-    and (y, v, z) times (2^-b, 2^-2b, 2^-b), with 2^a the scale of A's own
-    trace and det (of z for a nilpotent A), and b likewise; exact, barring
-    subnormals."""
-    def exponent(t: float, d: float) -> int:
-        return math.frexp(max(abs(t), math.sqrt(abs(d))))[1]
-
-    a = exponent(x, u)
-    b = exponent(y, v)
-    if not (x or u):  # nilpotent A: z alone carries its scale
-        a = math.frexp(math.ldexp(z, -b))[1]
-    elif not (y or v):
-        b = math.frexp(math.ldexp(z, -a))[1]
-    return (math.ldexp(x, -a), math.ldexp(y, -b), math.ldexp(z, -a - b),
-            math.ldexp(u, -2 * a), math.ldexp(v, -2 * b))
-
-
 def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     """Classify from the five invariants alone, via the trace window.
 
@@ -329,9 +311,9 @@ def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
     overflows at any finite tuple and no margin changes.
     Requires a realizable tuple.  A negative or NaN ``tol`` raises ValueError.
     """
-    x, y, z, u, v = _unit_tuple(*t)
-    if not realizable(FiveTuple(x, y, z, u, v)):
+    if not realizable(t):
         raise ValueError(f"tuple is not attained by any real pair: {tuple(t)!r}")
+    x, y, z, u, v = _unit_tuple(*t)
     if x < 0:
         x, z = -x, -z
     if y < 0:

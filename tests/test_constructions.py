@@ -135,6 +135,26 @@ def test_realize_round_trip_on_random_tuples(rng):
         done += 1
 
 
+# one tuple per branch and sign pattern: real A, complex A, swapped,
+# Jordan-swapped, Jordan pair, the identity tuple, det A < 0, both complex
+_BRANCH_TUPLES = [(3, 3, 8, 1, 1), (1, 3, 1, 1, 1), (2, 3, 8, 1, 1), (2, 3, 4, 1, 2),
+                  (2, 4, 5, 1, 4), (2, 2, 2, 1, 1), (3, -2, 1, -1, 2), (1, 1, 3, 1, 1)]
+
+
+@pytest.mark.parametrize("t", _BRANCH_TUPLES)
+def test_realize_keeps_the_invariants_at_every_scale(t):
+    # the branch tests once had an absolute floor of 1: at c = 2^-40 the
+    # tuple (3c, 3c, 8c^2, c^2, c^2) took the boundary branch, and at large
+    # c realizable overflowed and refused the tuple
+    x, y, z, u, v = t
+    for k in range(-500, 341, 20):
+        c = 2.0 ** k
+        got = five_tuple(realize_from_tuple(FiveTuple(x * c, y * c, z * c * c,
+                                                      u * c * c, v * c * c)))
+        unit = (got.x / c, got.y / c, got.z / c / c, got.u / c / c, got.v / c / c)
+        assert _tuples_close(t, unit), (k, unit)
+
+
 def test_lambert_c():
     c = lambert_c()
     assert abs(c * math.exp(c + 1.0) - 1.0) < 1e-13

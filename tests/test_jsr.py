@@ -129,19 +129,37 @@ def _row_pair(i: int, c: float = 1.0) -> MatrixPair:
     return MatrixPair(Mat2(*row[:4]), Mat2(*row[4:]))
 
 
-def _assert_same_scans(p: MatrixPair, caps) -> None:
+def _takes_exit(p: MatrixPair, d: str) -> bool:
+    """Whether ``gelfand_scan(p, d)`` returns by the closed-form exit."""
+    return jsr._power_is_supremum(*jsr._oriented(unit_scaled(p)[0], d))
+
+
+def _assert_same_scans(p: MatrixPair, caps) -> int:
+    """Repr-identical to the reference wherever the closed-form exit declines;
+    where it proves rho(P) the supremum, the reference's n_star and value,
+    terminated and with nothing scanned.  Returns the number of exit cases."""
+    exits = 0
     for d in ("A_pow_B", "B_pow_A"):
+        takes_exit = _takes_exit(p, d)
         for cap in caps:
-            assert repr(gelfand_scan(p, d, cap)) == \
-                repr(reference_scan.gelfand_scan(p, d, cap)), (p, d, cap)
+            scan, ref = gelfand_scan(p, d, cap), reference_scan.gelfand_scan(p, d, cap)
+            if takes_exit:
+                exits += 1
+                assert (scan.n_star, scan.value, scan.terminated, scan.scanned) == \
+                    (ref.n_star, ref.value, True, 0), (p, d, cap)
+            else:
+                assert repr(scan) == repr(ref), (p, d, cap)
+    return exits
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-150, 1e150, 1e-310])
 def test_gelfand_scan_matches_the_frozen_reference(c):
-    for i in range(40):
-        _assert_same_scans(_row_pair(i, c), (0, 1, 600))
+    # the exit sees the unit-scaled pair, so it closes the same rows at
+    # every scale (on raw entries its float screen overflowed or underflowed)
+    exits = {i: _assert_same_scans(_row_pair(i, c), (0, 1, 600)) for i in range(40)}
+    assert {i: n for i, n in exits.items() if n} == {7: 3, 17: 3, 31: 3, 39: 3}
     for i in (0, 5):  # scans that run to the default cap one way
-        _assert_same_scans(_row_pair(i, c), (10_000,))
+        assert _assert_same_scans(_row_pair(i, c), (10_000,)) == 0
 
 
 @pytest.mark.parametrize("row,scanned", [(2362, 1536), (4418, 1152), (15782, 640)])
@@ -207,26 +225,37 @@ def test_gelfand_scan_rejects_a_negative_cap():
     assert gelfand_scan(p, cap=0).scanned == 1
 
 
-# The closed-form exit: for complex P, certify skips the power scan when
+# The closed-form exit: for complex P, gelfand_scan scans nothing when
 # sup over phi of rho(R(phi) Q') < rho(P) in P's rotation basis.
 _CORPUS = [_row_pair(i) for i in range(1000)]  # default_rng(0), (1000, 8)
 
 
 def _exit_directions(p: MatrixPair) -> list[str]:
-    """Directions whose scan certify skips: only P with det P > 0 can pass,
-    and that is the direction (or one of the two) the mixed route scans."""
-    q, _ = unit_scaled(p)
-    if classify(q).in_mix is not True:
+    """Directions of the mixed route that the exit closes: only P with
+    det P > 0 can pass, and that is the direction (or one of the two) the
+    mixed route scans."""
+    if classify(unit_scaled(p)[0]).in_mix is not True:
         return []
-    return [d for d in ("A_pow_B", "B_pow_A") if jsr._power_is_supremum(*jsr._oriented(q, d))]
+    return [d for d in ("A_pow_B", "B_pow_A") if _takes_exit(p, d)]
 
 
 _EXITS = [p for p in _CORPUS if _exit_directions(p)]
 
 
 def test_certify_exit_changes_no_answer_and_agrees_with_the_scan(monkeypatch):
-    # only the mixed route consults the exit; both passes scan at cap 600,
-    # the same stand-in on both sides, so the exit alone tells them apart
+    # the reference scans to the default cap and cannot prove the value
+    # that the exit proves; it must still find the same n_star and value
+    closed = 0
+    for p in _EXITS:
+        q, _ = unit_scaled(p)
+        for d in _exit_directions(p):
+            scan, ref = gelfand_scan(q, d), reference_scan.gelfand_scan(q, d)
+            assert (scan.n_star, scan.value) == (ref.n_star, ref.value)
+            assert (scan.terminated, scan.scanned, ref.terminated) == (True, 0, False)
+            closed += 1
+    assert closed == len(_EXITS) == 25  # of the corpus's 59 unterminated mixed pairs
+    # only the mixed route reaches the exit; both passes scan at most to
+    # cap 600, so the exit alone tells them apart
     mixed = [p for p in _CORPUS if classify(unit_scaled(p)[0]).in_mix is True]
     real_scan = jsr.gelfand_scan
     monkeypatch.setattr(jsr, "gelfand_scan", lambda p, d="A_pow_B", cap=10_000:
@@ -234,13 +263,19 @@ def test_certify_exit_changes_no_answer_and_agrees_with_the_scan(monkeypatch):
     with_exit = [repr(certify(p)) for p in mixed]
     monkeypatch.setattr(jsr, "_power_is_supremum", lambda pm, qm: False)
     assert [repr(certify(p)) for p in mixed] == with_exit
-    assert len(_EXITS) == 25  # of the corpus's 59 unterminated mixed pairs
-    for p in _EXITS:
-        q, _ = unit_scaled(p)
-        for d in _exit_directions(p):
-            scan = real_scan(q, d)  # to the default cap
-            s, _, _, rho = jsr._scan_setup(*jsr._oriented(q, d))
-            assert (scan.n_star, scan.terminated, scan.value) == (None, False, rho * s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 24), k=st.integers(-1000, 1000))
+def test_gelfand_scan_exit_is_scale_free(i, k):
+    # the exit decides on the unit-scaled pair: 2^k p takes it as p does
+    p = _EXITS[i]
+    t = MatrixPair(p.A * 2.0 ** k, p.B * 2.0 ** k)
+    for d in _exit_directions(p):
+        ref, scan = gelfand_scan(p, d), gelfand_scan(t, d)
+        assert (scan.n_star, scan.terminated, scan.scanned) == \
+            (ref.n_star, ref.terminated, ref.scanned) == (None, True, 0)
+        assert scan.value == pytest.approx(math.ldexp(ref.value, k), rel=1e-12)
 
 
 def _transformed(p: MatrixPair, how: str, k: int) -> MatrixPair:
@@ -257,7 +292,8 @@ def _transformed(p: MatrixPair, how: str, k: int) -> MatrixPair:
 def test_certify_exit_is_sound_and_survives_swap_transpose_and_scale(i, how, k):
     p = _EXITS[i]
     t = _transformed(p, how, k)
-    with mock.patch.object(jsr, "gelfand_scan", side_effect=AssertionError("scanned")):
+    with mock.patch.object(jsr, "spectral_radius_entries",
+                           side_effect=AssertionError("scanned")):
         ref, cand = certify(p), certify(t)
     mirrored = {"0": "1", "1": "0"}
     assert cand.word == (mirrored[ref.word] if how == "swap" else ref.word)
@@ -290,7 +326,8 @@ def test_power_is_supremum_accepts_a_clear_margin():
     assert jsr._power_is_supremum(pm, qm)
     p = MatrixPair(pm, qm)
     assert classify(p).in_mix is True
-    with mock.patch.object(jsr, "gelfand_scan", side_effect=AssertionError("scanned")):
+    with mock.patch.object(jsr, "spectral_radius_entries",
+                           side_effect=AssertionError("scanned")):
         cand = certify(p)
     assert (cand.word, cand.value) == ("0", 1.0)
 

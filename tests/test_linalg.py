@@ -143,6 +143,18 @@ def test_realizable_examples():
     assert realizable(FiveTuple(2, 2, 2, 1, 1))
 
 
+@pytest.mark.parametrize("k", [-500, -300, 300, 500])
+def test_realizable_at_any_scale(k):
+    # squares of the raw invariants once overflowed: (1, 3, 1, 1, 1) with
+    # both matrices times 2^300 read as not realizable
+    c = 2.0 ** k
+    for t, expect in (((1, 3, 1, 1, 1), True), ((3, 3, 8, 1, 1), True),
+                      ((0, 0, 0, 1, 1), False), ((1, 1, 0.2, 1, 1), False)):
+        x, y, z, u, v = t
+        assert realizable(FiveTuple(x * c, y * c, z * c * c, u * c * c, v * c * c)) is expect
+        assert realizable(FiveTuple(x * c, y, z * c, u * c * c, v)) is expect  # A alone
+
+
 def test_det_sum_identity(rng):
     for _ in range(2000):
         p = random_pair(rng)

@@ -179,3 +179,55 @@ def test_every_bench_file_names_its_kernel_backend():
         record = json.loads(path.read_text())
         backends = {record.get(key, {}).get("backend") for key in ("stamp", "host")}
         assert kernels.BACKEND in backends, path.name
+
+
+def _smplab_reads(tree: ast.AST) -> set[str]:
+    """Dotted smplab names a module reads: each name it imports from smplab,
+    and each attribute chain on a name bound to smplab or to one of its
+    modules (``jsr.certify``, ``smplab.jsr.certify``)."""
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "smplab":  # binds smplab or its alias
+                    bound[alias.asname or "smplab"] = alias.name if alias.asname else "smplab"
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "smplab":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            reads.add(".".join([bound[node.id], *attrs]))
+    return reads
+
+
+def _resolves(dotted: str) -> bool:
+    import importlib
+
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_every_smplab_name_the_benchmark_reads_resolves():
+    # perfbench is parsed, not imported: a change that deletes or renames a
+    # function the tracer spans or a workload calls fails here, in tier-1
+    paths = sorted((ROOT / "perfbench").glob("*.py"))
+    reads = set().union(*(_smplab_reads(ast.parse(p.read_text())) for p in paths))
+    assert {"smplab.jsr.certify", "smplab.jsr.gelfand_scan", "smplab.words.lyndon_words",
+            "smplab.linalg.spectral_radius", "smplab.regions.monte_carlo_regions",
+            "smplab.constructions.realize_from_tuple"} <= reads
+    assert sorted(name for name in reads if not _resolves(name)) == []
