@@ -123,10 +123,13 @@ def brute_force(p: MatrixPair, max_len: int = 12,
     reported roots are scale-corrected, and ``tie_tol`` is relative to
     that max norm.  ``upper`` uses the Euclidean operator norm, so
     ``norm`` in the report is always "euclid".  Best-word ties break to
-    the shorter length, then lexicographically.
+    the shorter length, then lexicographically.  A negative or NaN
+    ``tie_tol`` raises ValueError.
     """
     if not 1 <= max_len <= MAX_BRUTE_LEN:
         raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
+    if not tie_tol >= 0.0:
+        raise ValueError(f"tie_tol must be >= 0, got {tie_tol!r}")
     s = max(operator_norm_2(p.A), operator_norm_2(p.B)) or 1.0
     a_s = p.A.divided_by(s)
     b_s = p.B.divided_by(s)

@@ -33,22 +33,32 @@ copy: given a transposed view, OpenBLAS takes a path that turns -0 into
 +0.  ``tests/test_kernels.py`` checks all of this bit for bit.
 
 Cost, in 2x2 products for L = max_len and T = min(L, 14), formed by one
-GEMM per tree level, tail run or prefix (about 3 ns a product, not 40):
+GEMM per tree level, tail letter, tail run or prefix (about 3 ns a
+product, not 40):
 
-- ``scan_classes`` builds one left-associated product tree of the
-  2^(T+1) - 2 words up to length T, in one buffer, gathers the products
-  of every Lyndon word up to length T from it with one index, and takes
-  their spectral radii in one pass; a Lyndon word of length k > 14 reads
-  its 14-letter prefix and takes k - 14 more products.  Lyndon words
-  come from ``words.lyndon_codes``, integer tables cached per length for
-  the life of the process: about 2^k/k int64 codes for length k, 0.2 MB
-  up to L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.
-  Only the best word, the runner-up and the ties become strings.
-- ``norm_profile`` builds the right-associated tree of the same size,
-  also in one buffer, takes the norms of all its levels in one pass and
-  each level's maximum with ``np.maximum.reduceat``; for each k > 14 it
-  multiplies prefixes of k - 14 letters (read from a left tree) into
-  level 14, one slice of it per prefix.
+- ``scan_classes`` builds one left-associated product tree in one buffer:
+  the words of up to max(1, L - 14) letters, which tails read, and below
+  that only those that start with A, as every Lyndon word of length 2 or
+  more and every 14-letter prefix of one does: about 2^T products.  It
+  gathers every Lyndon word up to length T from it with one index and
+  takes their spectral radii in one pass; a Lyndon word of length k > 14
+  reads its 14-letter prefix and takes r = k - 14 more products.  Up to
+  _SMALL_BATCH such words take both letters' products of every row and
+  select, 2r GEMMs; more are sorted by tail, one GEMM per run of words
+  that share a letter, 2^(r+1) - 2 runs.  The two cost about the same at
+  1024 words for r = 2..5 on a 2-CPU host; below that the runs' per-call
+  cost dominates, up to tenfold at r = 10.  Lyndon words come from
+  ``words.lyndon_codes``, integer tables cached per length for the life
+  of the process: about 2^k/k int64 codes for length k, 0.2 MB up to
+  L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.  Ties
+  become strings 2^16 at a time, from a matrix of '0' and '1' bytes; the
+  best word and the runner-up one at a time.
+- ``norm_profile`` builds the right-associated tree of all 2^(T+1) - 2
+  words, also in one buffer, takes the norms of all its levels in one
+  pass and each level's maximum with ``np.maximum.reduceat``; for each
+  k > 14 it multiplies prefixes of k - 14 letters (read from a left
+  tree) into the level-14 rows that the bounds leave, one slice of them
+  per prefix.
 
 So a short scan, such as the L = 12 bracket of ``jsr.certify``, makes
 one pass of each closed form, not one per length.
@@ -60,19 +70,27 @@ joint spectral radius", LAA 234, 1996) rules most of these products out:
 
 - ``scan_classes`` bounds each word's root by (|P| |T|)^(1/k), times
   1 + _MARGIN, with |T| read from tree level r.  It computes the exact
-  roots of the _SEED_WORDS words with the largest bounds and evaluates
-  only the words whose bound reaches thr = min(s2, max(b, s1) - tie_tol),
-  where s1 >= s2 are the two largest seed roots and b is the best root
-  of the shorter lengths.  A word that can be this length's best or
-  runner-up, or fall in the tie band, has a root of at least thr, so the
-  per-length best, its tie-break (first in code order), the second-best
-  value and the ties are unchanged.  Tails come from the tree, so the
-  kernel takes L <= 28 (``jsr.brute_force`` stops at 24).
-- ``norm_profile`` sorts level 14 by norm and visits the prefixes in
-  descending norm.  It multiplies a prefix P only into the rows S with
-  0.5 N(P) N(S) (1 + _MARGIN) >= mx, where N = 2|.|^2 as computed and mx
-  is the running maximum: a leading slice ``suffix[:hi]``, no copy.  A
-  prefix with no such row ends the length.
+  roots of the _SEED_WORDS words with the largest bounds, keeps them, and
+  evaluates only the other words whose bound reaches thr = min(s2,
+  max(b, s1) - tie_tol), where s1 >= s2 are the two largest seed roots
+  and b is the best root of the shorter lengths.  A word that can be
+  this length's best or runner-up, or fall in the tie band, has a root
+  of at least thr, so the per-length best, its tie-break (first in code
+  order), the second-best value and the ties are unchanged.  Each word
+  is multiplied out once; numpy's power rounds each element alike in any
+  batch, so a kept seed's root is the one a second pass would give.
+  Tails come from the tree, so the kernel takes L <= 28
+  (``jsr.brute_force`` stops at 24).
+- ``norm_profile`` starts each length from its largest prefix P1 times
+  the _SEED_WORDS level-14 rows of largest norm, and mx is the largest
+  N of those products, N = 2|.|^2 as computed.  It multiplies a prefix
+  P only into the rows S with 0.5 N(P) N(S) (1 + _MARGIN) >= mx, where
+  mx is the running maximum; as N(P) <= N(P1) and mx only grows, only
+  the rows that pass this test for P1 at the first mx of some length
+  are sorted by norm (a median of 2 of 16 384 on seeded N(0,1) pairs at
+  L = 18).  It visits the prefixes in descending norm; the rows of each
+  are a leading slice ``srows[:hi]`` of those, no copy.  A prefix with
+  no such row ends the length.
 
 Every value that is computed is the same matmul in the same association
 as without pruning, and a skipped one cannot reach the result, so the
@@ -103,28 +121,28 @@ Together a computed value exceeds its computed bound by a factor below
 the bound add a few u: _MARGIN = 1e-6 covers that five times over.
 
 Nothing but the Lyndon tables outlives a call.  Up to L = 18 no array
-holds more than 2^14 products.  Warm timings on a 2-CPU host (a fixed
-random pre-scaled pair, then the worst case, an orthogonal pair where
-every product has norm 1 and nothing is pruned;
-``benchmarks/bench_kernels.py``), with those before one GEMM per level
-in brackets; the host drifts by up to 30% between runs:
+holds more than 2^14 products.  Warm timings on a 2-CPU host (the pairs
+of ``benchmarks/bench_kernels.py``: a fixed random pre-scaled pair, then
+the worst case, an orthogonal pair where every product has norm 1 and
+nothing is pruned), best of 7 calls in each of two rounds, with those of
+the whole left tree and a full row sort in brackets; the host drifts by
+up to 60% between rounds:
 
-=====  ================  ================  ===================  ================
-L      scan_classes      norm_profile      scan_classes         norm_profile
-       (random)          (random)          (orthogonal)         (orthogonal)
-=====  ================  ================  ===================  ================
-18     4 ms (4-6)        2.4 ms (4.5)      50 ms (40-64)        12 ms (27-41)
-20     5 ms (6-7)        2.6 ms (5)        170-220 ms (same)    45 ms (130-170)
-=====  ================  ================  ===================  ================
+=====  ===================  ===================  ===================  ================
+L      scan_classes         norm_profile         scan_classes         norm_profile
+       (random, ms)         (random, ms)         (orthogonal, ms)     (orthogonal, ms)
+=====  ===================  ===================  ===================  ================
+18     1.5-2.3 (1.7-2.7)    0.9-1.6 (1.4-2.1)    13-16 (35-55)        9-11 (10-11)
+20     2.7-4.4 (2.9-4.5)    1.0-1.7 (1.6-2.3)    50-65 (141-196)      32-40 (31-39)
+=====  ===================  ===================  ===================  ================
 
-The orthogonal scan at L = 20 spends most of its time making its
-111 033 tie strings: without them it takes 25 ms (58 before).  At
-L = 24 the random pair takes 25-28 ms and 2.5-3 ms (23-33 ms and
-3.5-5 ms before).  A pair where nothing prunes: at L = 24
+At L = 24 the random pair takes 23-26 ms and 1.4-1.8 ms (24-30 and
+2.3-2.4 ms before).  A pair where nothing prunes: at L = 24
 ``scan_classes`` holds the 698 870 products of the longest Lyndon words
-at once (22 MB), the two kernels raise peak memory by about 250 MB
-(as before) and take 2-3.6 s and 0.5-0.7 s (3-3.6 s and 2.5-2.7 s
-before).
+at once (22 MB), ``brute_force`` peaks at about 340 MB of resident
+memory (325 MB before), and the kernels take 0.87-0.89 s and 0.46-0.49 s
+(2.0-2.8 s and 0.46-0.65 s before).  ``BENCH_deep_scan.json`` holds
+these runs and the end-to-end ones.
 """
 
 from __future__ import annotations
@@ -146,6 +164,7 @@ _TREE_DEPTH = 14
 # pruning of words longer than _TREE_DEPTH (see Pruning in the docstring)
 _MARGIN = 1e-6           # relative slack on every bound, after the k-th root
 _SEED_WORDS = 64         # exact values that set the first threshold
+_SMALL_BATCH = 1024      # _word_rhos: fewer words take 2r GEMMs, not 2^(r+1) - 2 runs
 _REASSOC = 1e-15         # tail reassociation error, per letter, times mu^r
 _N_FLOOR = 2.0 ** -470   # 2|P|^2 below this may have lost relative accuracy
 _NORM_CEIL = 2.0 ** 250  # no product whose norm stays below this overflows
@@ -153,8 +172,8 @@ _NORM_CEIL = 2.0 ** 250  # no product whose norm stays below this overflows
 _NEG_INF = float("-inf")
 
 
-def _left_tree(a: np.ndarray, b: np.ndarray,
-               depth: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _left_tree(a: np.ndarray, b: np.ndarray, depth: int,
+               full: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Row 2^k - 1 + code(w) holds ((I @ M_w1) @ M_w2) ... @ M_wk, k <= depth.
 
     Returns that one buffer and its levels: level k, rows 2^k - 1 on, is
@@ -162,12 +181,17 @@ def _left_tree(a: np.ndarray, b: np.ndarray,
     that row 2i + c of the level is row i of level k-1 times M_c (M_0 = A,
     M_1 = B): one GEMM per letter on the stacked rows of level k-1, copied
     into its slots (``np.stack`` here took ~550 page faults per
-    ``brute_force(p, 18)``, against 3).
+    ``brute_force(p, 18)``, against 3).  Given ``full``, the levels deeper
+    than it hold only their first half, the words that start with A, made
+    from the first half of the level above; the rest is left unset.
     """
     tree = np.empty(((2 << depth) - 1, 2, 2))
     tree[0] = np.eye(2)
     levels = [tree[(1 << k) - 1:(2 << k) - 1] for k in range(depth + 1)]
-    for shorter, level in zip(levels, levels[1:]):
+    for k in range(1, depth + 1):
+        shorter, level = levels[k - 1], levels[k]
+        if full is not None and k > full:
+            shorter, level = shorter[:len(shorter) // 2], level[:len(level) // 2]
         rows = shorter.reshape(-1, 2)
         level = level.reshape(-1, 2, 2, 2)
         level[:, 0] = (rows @ a).reshape(-1, 2, 2)
@@ -221,9 +245,17 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
     """rho(P) for the words of length k > _TREE_DEPTH with these codes, in
     code order."""
     # Look up the first _TREE_DEPTH letters, then multiply the r others in
-    # order.  Sorting the words by their last r letters makes each letter
-    # step 2^j contiguous runs sharing one letter.
+    # order.
     r = k - _TREE_DEPTH
+    if len(codes) <= _SMALL_BATCH:
+        # every row times both letters, then a select: 2r GEMMs
+        rows = tree[_TREE_DEPTH][codes >> r].reshape(-1, 2)
+        is_b = np.repeat(((codes[:, None] >> np.arange(r - 1, -1, -1)) & 1) == 1, 2, axis=0)
+        for j in range(r):
+            rows = np.where(is_b[:, j:j + 1], rows @ b, rows @ a)
+        return _rhos(rows.reshape(-1, 2, 2))
+    # Sorting the words by their last r letters makes each letter step 2^j
+    # contiguous runs sharing one letter.
     tail = codes & ((1 << r) - 1)
     order = np.argsort(tail, kind="stable")
     prods = tree[_TREE_DEPTH][codes[order] >> r]
@@ -242,24 +274,32 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
 
 def _candidates(tree: list[np.ndarray], heads: np.ndarray, tails: list[np.ndarray],
                 codes: np.ndarray, k: int, a: np.ndarray, b: np.ndarray,
-                best: float, tie_tol: float) -> np.ndarray:
+                best: float, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The codes of length k > _TREE_DEPTH whose root can reach this length's
-    top two or the tie band, in code order (see Pruning).
+    top two or the tie band, in code order, and their roots (see Pruning).
 
-    ``heads`` and ``tails[j]`` bound the norms of tree levels _TREE_DEPTH
-    and j; ``best`` is the best root of the shorter lengths.  Every code
-    comes back where products could overflow and the bounds are not safe.
+    ``heads`` and ``tails[j]`` bound the norms of the A-first half of tree
+    level _TREE_DEPTH and of level j; ``best`` is the best root of the
+    shorter lengths.  Every code comes back where products could overflow
+    and the bounds are not safe.
     """
     r = k - _TREE_DEPTH
     mu = float(tails[1].max())
     if not (math.isfinite(best) and heads.max() * max(1.0, mu) ** r <= _NORM_CEIL):
-        return codes
+        return codes, _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
     bound = heads[codes >> r] * (tails[r][codes & ((1 << r) - 1)] + _REASSOC * r * mu ** r)
     bound = bound ** (1.0 / k) * (1.0 + _MARGIN)
-    seeds = codes[np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:]]
-    second, first = np.partition(_word_rhos(tree, seeds, k, a, b) ** (1.0 / k), -2)[-2:]
+    seeds = np.sort(np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:])
+    seed_roots = _word_rhos(tree, codes[seeds], k, a, b) ** (1.0 / k)
+    second, first = np.partition(seed_roots, -2)[-2:]
     keep = ~(bound < min(second, max(best, first) - tie_tol))
-    return codes if keep.all() else codes[keep]
+    del bound  # at L = 24 each array of this length is 5.6 MB
+    fresh = keep.copy()
+    fresh[seeds] = False  # their roots are known
+    roots = np.empty(np.count_nonzero(keep))
+    roots[fresh[keep]] = _word_rhos(tree, codes[fresh], k, a, b) ** (1.0 / k)
+    roots[~fresh[keep]] = seed_roots[keep[seeds]]
+    return (codes if keep.all() else codes[keep]), roots
 
 
 def scan_classes(a, b, max_len: int, tie_tol: float):
@@ -267,7 +307,9 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 2)
     shallow = min(max_len, _TREE_DEPTH)
-    buffer, tree = _left_tree(a, b, shallow)
+    # Lyndon words of length 2 or more, and so the prefixes that deeper
+    # words read, start with A; only the tails' levels are needed whole
+    buffer, tree = _left_tree(a, b, shallow, max(1, max_len - _TREE_DEPTH))
     # every Lyndon word up to the tree depth in one gather and one _rhos
     # call; roots per length, so that numpy's power keeps its paths for
     # a scalar exponent (0.5 is a sqrt)
@@ -276,7 +318,7 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
     short_rhos = _rhos(buffer[np.concatenate(
         [c + ((1 << k) - 1) for k, c in enumerate(short_codes, 1)])])
     if max_len > _TREE_DEPTH:
-        heads = np.sqrt(0.5 * _floored_norms(tree[_TREE_DEPTH]))
+        heads = np.sqrt(0.5 * _floored_norms(tree[_TREE_DEPTH][:1 << (_TREE_DEPTH - 1)]))
         tails = [np.sqrt(0.5 * _floored_norms(level))
                  for level in tree[:max_len - _TREE_DEPTH + 1]]
 
@@ -290,9 +332,8 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
             codes = short_codes[k - 1]
             roots = short_rhos[ends[k - 1]:ends[k]] ** (1.0 / k)
         else:
-            codes = _candidates(tree, heads, tails, lyndon_codes(k), k, a, b,
-                                max(best_root[1:k]), tie_tol)
-            roots = _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
+            codes, roots = _candidates(tree, heads, tails, lyndon_codes(k), k, a, b,
+                                       max(best_root[1:k]), tie_tol)
         i = int(np.argmax(roots))  # first occurrence = lex-least on ties
         best_root[k] = float(roots[i])
         best_word[k] = format(int(codes[i]), f"0{k}b")
@@ -302,11 +343,18 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
             second_root[k] = _NEG_INF
         kept.append((k, codes, roots))
 
+    # each length's ties as one matrix of '0' and '1' bytes, read as k-byte
+    # strings (codes are below 2^28, so their 32 bits big-endian end in the
+    # word), 2^16 at a time to bound the temporaries
     gbest = max(best_root[1:])
     ties = []
     for k, codes, roots in kept:
-        for i in np.flatnonzero(roots >= gbest - tie_tol):
-            ties.append((format(int(codes[i]), f"0{k}b"), float(roots[i])))
+        hit = np.flatnonzero(roots >= gbest - tie_tol)
+        for lo in range(0, len(hit), 1 << 16):
+            part = hit[lo:lo + (1 << 16)]
+            bits = np.unpackbits(codes[part].astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+            words = (bits[:, 32 - k:] + np.uint8(ord("0"))).view(f"S{k}").ravel().tolist()
+            ties.extend(zip([w.decode() for w in words], roots[part].tolist()))
     return best_root, best_word, second_root, ties
 
 
@@ -336,23 +384,36 @@ def norm_profile(a, b, max_len: int):
         return out
     rows, norms = tree[(2 << _TREE_DEPTH) - 4:], norms[(1 << _TREE_DEPTH) - 2:]
 
-    # deeper words: each left-associated prefix P times the top level, whose
-    # rows are sorted by norm so that the rows P can still need (see
-    # Pruning) are the slice srows[:2 hi]; P @ S is the GEMM rows(S^T) @ P^T
-    order = np.argsort(norms)[::-1]
-    srows = rows.reshape(-1, 2, 2)[order].reshape(-1, 2)
-    n_suffix = np.maximum(norms[order], _N_FLOOR)
+    # deeper words: each left-associated prefix P times the top level.  Each
+    # length starts from its largest prefix times the _SEED_WORDS rows of
+    # largest norm; only the rows that some prefix can then still need (see
+    # Pruning) are sorted by norm, so that those of P are the slice
+    # srows[:2 hi].  P @ S is the GEMM rows(S^T) @ P^T
+    n_rows = np.maximum(norms, _N_FLOOR)
+    top = np.argpartition(n_rows, -_SEED_WORDS)[-_SEED_WORDS:]
+    seeds = rows.reshape(-1, 2, 2)[top].reshape(-1, 2)
     _, prefixes = _left_tree(a, b, max_len - _TREE_DEPTH)
-    for k in range(_TREE_DEPTH + 1, max_len + 1):
-        level = prefixes[k - _TREE_DEPTH]
+    reach = np.zeros(len(n_rows), dtype=bool)
+    scans = []
+    for level in prefixes[1:]:
         transposed = level.transpose(0, 2, 1).copy()
         n_prefix = _floored_norms(level)
         visit = np.argsort(n_prefix)[::-1]
         # where a product could overflow the bounds are not safe: every
         # prefix meets every row, and max() skips an overflowed batch's NaN
-        safe = 0.5 * n_prefix.max() * n_suffix[0] <= _NORM_CEIL ** 2
-        mx = (_twice_sq_norm_max(srows[:2 * _SEED_WORDS] @ transposed[visit[0]])
-              if safe else 0.0)
+        safe = 0.5 * n_prefix.max() * n_rows.max() <= _NORM_CEIL ** 2
+        if safe:
+            mx = _twice_sq_norm_max(seeds @ transposed[visit[0]])
+            reach |= (0.5 * (1.0 + _MARGIN)) * n_prefix[visit[0]] * n_rows >= mx
+        else:
+            mx = 0.0
+            reach[:] = True
+        scans.append((transposed, n_prefix, visit, safe, mx))
+    order = np.flatnonzero(reach)
+    order = order[np.argsort(n_rows[order])[::-1]]
+    srows = rows.reshape(-1, 2, 2)[order].reshape(-1, 2)
+    n_suffix = n_rows[order]
+    for k, (transposed, n_prefix, visit, safe, mx) in enumerate(scans, _TREE_DEPTH + 1):
         for i in visit:
             hi = len(n_suffix)
             if safe:

@@ -51,6 +51,15 @@ def test_brute_force_cost_guard():
         brute_force(DIAG_ONES, 0)
 
 
+def test_brute_force_rejects_a_negative_or_nan_tie_tol():
+    pair = MatrixPair(Mat2(2, 1, 0, 0.5), Mat2(0.3, -1, 1, 0.2))
+    for tie_tol in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="tie_tol must be >= 0"):
+            brute_force(pair, 8, tie_tol=tie_tol)
+    # an infinite band lists every class: 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30
+    assert len(brute_force(pair, 8, tie_tol=math.inf).ties) == 71
+
+
 def test_brute_force_rho_words_attain_reported_values(rng):
     for _ in range(20):
         p = random_pair(rng)

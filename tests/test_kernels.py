@@ -91,6 +91,38 @@ def test_pruned_kernels_bit_identical_to_frozen_reference(name):
         _assert_matches_reference(a, b, max_len, tie_tol)
 
 
+# Level-14 rows that tie in norm exactly, so that which rows the seed step
+# and the partial row sort of norm_profile pick is down to tie order: the
+# products of signed permutations are signed permutations, all of norm 1.
+_TIED_ROWS = {
+    "rotation-reflection": ((0, -1, 1, 0), (1, 0, 0, -1), 20),
+    "signed-permutations": ((0, 1, 1, 0), (0, -1, 1, 0), 19),
+}
+
+
+@pytest.mark.parametrize("name", _TIED_ROWS)
+def test_kernels_bit_identical_where_level_14_norms_tie(name):
+    a, b, max_len = _TIED_ROWS[name]
+    _assert_matches_reference(a, b, max_len)
+
+
+@pytest.mark.parametrize("k", [15, 17, 20])
+def test_word_rhos_bit_identical_on_both_sides_of_the_small_batch(k):
+    # _word_rhos takes two GEMMs per tail letter up to _SMALL_BATCH words
+    # and runs of one tail letter beyond; both match the letter-by-letter
+    # reference, on a tree holding only its A-first half below the tail depth
+    rng = np.random.default_rng(k)
+    a, b = _prescaled(random_pair(rng))
+    a, b = np.reshape(a, (2, 2)), np.reshape(b, (2, 2))
+    r = k - 14
+    _, tree = kernels._left_tree(a, b, 14, r)
+    for n in (kernels._SMALL_BATCH, kernels._SMALL_BATCH + 1):
+        codes = np.sort(rng.choice(1 << (k - 1), n, replace=False))  # start with A
+        letters = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        expect = reference_kernels._rhos(reference_kernels._batch_products(letters, a, b))
+        assert np.array_equal(_bits(kernels._word_rhos(tree, codes, k, a, b)), _bits(expect))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_kernels_bit_identical_where_pruning_bounds_could_overflow(rng):
@@ -100,7 +132,8 @@ def test_kernels_bit_identical_where_pruning_bounds_could_overflow(rng):
     # maximum is NaN, which max() skips, so length 15 reads 0.0
     c = 2.0 ** 16.8
     rot = tuple(c * e for e in _DEEP_CASES["orthogonal"][0])
-    _assert_matches_reference(rot, rot[2:] + rot[:2], 15)
+    for max_len in (15, 18):
+        _assert_matches_reference(rot, rot[2:] + rot[:2], max_len)
     a, b = _prescaled(random_pair(rng), scale=1e20)
     assert reference_kernels.norm_profile(a, b, 15)[15] == 0.0
     for max_len in (15, 16):
@@ -150,6 +183,62 @@ def test_pruning_skips_most_deep_products(rng, monkeypatch):
     kernels.norm_profile(a, b, max_len)
     deep = sum(2 ** k for k in range(15, max_len + 1))
     assert rows["norm"] < 0.1 * deep  # only the deep products are counted
+
+
+def test_deep_scan_skips_what_its_bounds_exclude(rng, monkeypatch):
+    # at L = 18 the deep words are multiplied out once each, norm_profile
+    # sorts a few level-14 rows (a median of 2 on seeded pairs), and the
+    # left tree fills only its A-first half below the 4-letter tails
+    # (np.empty returns NaN here, so a row never written stays NaN)
+    max_len, r = 18, 4
+    rho_calls: dict[int, list[np.ndarray]] = {}
+    sorted_sizes: list[int] = []
+    row_sorts = []
+    trees = []
+    word_rhos, argsort, left_tree, empty = (
+        kernels._word_rhos, np.argsort, kernels._left_tree, np.empty)
+
+    def count_word_rhos(tree, codes, k, a, b):
+        rho_calls.setdefault(k, []).append(codes)
+        return word_rhos(tree, codes, k, a, b)
+
+    def count_argsort(x, *args, **kwargs):
+        sorted_sizes.append(len(x))
+        return argsort(x, *args, **kwargs)
+
+    def keep_left_tree(*args):
+        trees.append(left_tree(*args))
+        return trees[-1]
+
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(kernels, "_word_rhos", count_word_rhos)
+    monkeypatch.setattr(kernels, "_left_tree", keep_left_tree)
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for _ in range(9):
+        a, b = _prescaled(random_pair(rng))
+        rho_calls.clear()
+        trees.clear()
+        kernels.scan_classes(a, b, max_len, 1e-9)
+        for k, batches in rho_calls.items():
+            codes = np.concatenate(batches)
+            assert len(np.unique(codes)) == len(codes), k
+        (_, levels), = trees
+        for k, level in enumerate(levels):
+            filled = ~np.isnan(level).any(axis=(1, 2))
+            half = len(level) // 2 if k > r else len(level)
+            assert filled[:half].all() and not filled[half:].any(), k
+
+        monkeypatch.setattr(np, "argsort", count_argsort)
+        sorted_sizes.clear()
+        kernels.norm_profile(a, b, max_len)
+        monkeypatch.setattr(np, "argsort", argsort)
+        row_sorts.append(sorted_sizes[-1])  # after the sorts of 2^j prefixes
+    assert np.median(row_sorts) < 0.05 * 2 ** 14
 
 
 # The kernels form each tree level with one flat GEMM where numpy's stacked
