@@ -33,8 +33,7 @@ copy: given a transposed view, OpenBLAS takes a path that turns -0 into
 +0.  ``tests/test_kernels.py`` checks all of this bit for bit.
 
 Cost, in 2x2 products for L = max_len and T = min(L, 14), formed by one
-GEMM per tree level, tail letter, tail run or prefix (about 3 ns a
-product, not 40):
+GEMM per tree level, tail run or prefix (about 3 ns a product, not 40):
 
 - ``scan_classes`` builds one left-associated product tree in one buffer:
   the words of up to max(1, L - 14) letters, which tails read, and below
@@ -42,17 +41,14 @@ product, not 40):
   more and every 14-letter prefix of one does: about 2^T products.  It
   gathers every Lyndon word up to length T from it with one index and
   takes their spectral radii in one pass; a Lyndon word of length k > 14
-  reads its 14-letter prefix and takes r = k - 14 more products.  Up to
-  _SMALL_BATCH such words take both letters' products of every row and
-  select, 2r GEMMs; more are sorted by tail, one GEMM per run of words
-  that share a letter, 2^(r+1) - 2 runs.  The two cost about the same at
-  1024 words for r = 2..5 on a 2-CPU host; below that the runs' per-call
-  cost dominates, up to tenfold at r = 10.  Lyndon words come from
-  ``words.lyndon_codes``, integer tables cached per length for the life
-  of the process: about 2^k/k int64 codes for length k, 0.2 MB up to
-  L = 18 and 11 MB up to L = 24, built in about 10 ms and 0.8 s.  Ties
-  become strings 2^16 at a time, from a matrix of '0' and '1' bytes; the
-  best word and the runner-up one at a time.
+  reads its 14-letter prefix and takes k - 14 more products.  Lyndon
+  words come from ``words.lyndon_codes``, integer tables cached per
+  length for the life of the process: about 2^k/k int64 codes for length
+  k, 0.2 MB up to L = 18 and 11 MB up to L = 24, built in about 10 ms
+  and 0.8 s.  Ties become strings from a matrix of '0' and '1' bytes,
+  2^16 at a time: in one pass the 1.5 M ties of an orthogonal pair at
+  L = 24 raise ``brute_force``'s peak memory from 334 MB to 422 MB.  The
+  best word and the runner-up are formatted one at a time.
 - ``norm_profile`` builds the right-associated tree of all 2^(T+1) - 2
   words, also in one buffer, takes the norms of all its levels in one
   pass and each level's maximum with ``np.maximum.reduceat``; for each
@@ -70,17 +66,14 @@ joint spectral radius", LAA 234, 1996) rules most of these products out:
 
 - ``scan_classes`` bounds each word's root by (|P| |T|)^(1/k), times
   1 + _MARGIN, with |T| read from tree level r.  It computes the exact
-  roots of the _SEED_WORDS words with the largest bounds, keeps them, and
-  evaluates only the other words whose bound reaches thr = min(s2,
-  max(b, s1) - tie_tol), where s1 >= s2 are the two largest seed roots
-  and b is the best root of the shorter lengths.  A word that can be
-  this length's best or runner-up, or fall in the tie band, has a root
-  of at least thr, so the per-length best, its tie-break (first in code
-  order), the second-best value and the ties are unchanged.  Each word
-  is multiplied out once; numpy's power rounds each element alike in any
-  batch, so a kept seed's root is the one a second pass would give.
-  Tails come from the tree, so the kernel takes L <= 28
-  (``jsr.brute_force`` stops at 24).
+  roots of the _SEED_WORDS words with the largest bounds and evaluates
+  only the words whose bound reaches thr = min(s2, max(b, s1) - tie_tol),
+  where s1 >= s2 are the two largest seed roots and b is the best root
+  of the shorter lengths.  A word that can be this length's best or
+  runner-up, or fall in the tie band, has a root of at least thr, so the
+  per-length best, its tie-break (first in code order), the second-best
+  value and the ties are unchanged.  Tails come from the tree, so the
+  kernel takes L <= 28 (``jsr.brute_force`` stops at 24).
 - ``norm_profile`` starts each length from its largest prefix P1 times
   the _SEED_WORDS level-14 rows of largest norm, and mx is the largest
   N of those products, N = 2|.|^2 as computed.  It multiplies a prefix
@@ -125,24 +118,25 @@ holds more than 2^14 products.  Warm timings on a 2-CPU host (the pairs
 of ``benchmarks/bench_kernels.py``: a fixed random pre-scaled pair, then
 the worst case, an orthogonal pair where every product has norm 1 and
 nothing is pruned), best of 7 calls in each of two rounds, with those of
-the whole left tree and a full row sort in brackets; the host drifts by
-up to 60% between rounds:
+the kernels before the A-first tree, the partial row sort and the tie
+matrix in brackets; the host's speed changed about twofold between the
+rounds:
 
 =====  ===================  ===================  ===================  ================
 L      scan_classes         norm_profile         scan_classes         norm_profile
        (random, ms)         (random, ms)         (orthogonal, ms)     (orthogonal, ms)
 =====  ===================  ===================  ===================  ================
-18     1.5-2.3 (1.7-2.7)    0.9-1.6 (1.4-2.1)    13-16 (35-55)        9-11 (10-11)
-20     2.7-4.4 (2.9-4.5)    1.0-1.7 (1.6-2.3)    50-65 (141-196)      32-40 (31-39)
+18     1.4-3.0 (1.5-3.3)    0.8-1.7 (1.2-2.6)    10-20 (29-63)        8-20 (8-14)
+20     2.4-5.7 (2.6-6.3)    1.0-1.7 (1.4-2.9)    39-47 (103-122)      29-36 (29-35)
 =====  ===================  ===================  ===================  ================
 
-At L = 24 the random pair takes 23-26 ms and 1.4-1.8 ms (24-30 and
-2.3-2.4 ms before).  A pair where nothing prunes: at L = 24
+At L = 24 the random pair takes 19-40 ms and 1.2-2.8 ms (21-38 and
+1.7-3.6 ms before).  A pair where nothing prunes: at L = 24
 ``scan_classes`` holds the 698 870 products of the longest Lyndon words
-at once (22 MB), ``brute_force`` peaks at about 340 MB of resident
-memory (325 MB before), and the kernels take 0.87-0.89 s and 0.46-0.49 s
-(2.0-2.8 s and 0.46-0.65 s before).  ``BENCH_deep_scan.json`` holds
-these runs and the end-to-end ones.
+at once (22 MB), ``brute_force`` peaks at about 335 MB of resident
+memory (325-331 MB before), and the kernels take 0.73-0.77 s and
+0.47-0.52 s (2.2-2.6 s and 0.55-0.62 s before).  ``BENCH_deep_scan.json``
+holds these runs and the end-to-end ones.
 """
 
 from __future__ import annotations
@@ -164,7 +158,6 @@ _TREE_DEPTH = 14
 # pruning of words longer than _TREE_DEPTH (see Pruning in the docstring)
 _MARGIN = 1e-6           # relative slack on every bound, after the k-th root
 _SEED_WORDS = 64         # exact values that set the first threshold
-_SMALL_BATCH = 1024      # _word_rhos: fewer words take 2r GEMMs, not 2^(r+1) - 2 runs
 _REASSOC = 1e-15         # tail reassociation error, per letter, times mu^r
 _N_FLOOR = 2.0 ** -470   # 2|P|^2 below this may have lost relative accuracy
 _NORM_CEIL = 2.0 ** 250  # no product whose norm stays below this overflows
@@ -245,17 +238,9 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
     """rho(P) for the words of length k > _TREE_DEPTH with these codes, in
     code order."""
     # Look up the first _TREE_DEPTH letters, then multiply the r others in
-    # order.
+    # order.  Sorting the words by their last r letters makes each letter
+    # step 2^j contiguous runs sharing one letter.
     r = k - _TREE_DEPTH
-    if len(codes) <= _SMALL_BATCH:
-        # every row times both letters, then a select: 2r GEMMs
-        rows = tree[_TREE_DEPTH][codes >> r].reshape(-1, 2)
-        is_b = np.repeat(((codes[:, None] >> np.arange(r - 1, -1, -1)) & 1) == 1, 2, axis=0)
-        for j in range(r):
-            rows = np.where(is_b[:, j:j + 1], rows @ b, rows @ a)
-        return _rhos(rows.reshape(-1, 2, 2))
-    # Sorting the words by their last r letters makes each letter step 2^j
-    # contiguous runs sharing one letter.
     tail = codes & ((1 << r) - 1)
     order = np.argsort(tail, kind="stable")
     prods = tree[_TREE_DEPTH][codes[order] >> r]
@@ -274,9 +259,9 @@ def _word_rhos(tree: list[np.ndarray], codes: np.ndarray, k: int,
 
 def _candidates(tree: list[np.ndarray], heads: np.ndarray, tails: list[np.ndarray],
                 codes: np.ndarray, k: int, a: np.ndarray, b: np.ndarray,
-                best: float, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+                best: float, tie_tol: float) -> np.ndarray:
     """The codes of length k > _TREE_DEPTH whose root can reach this length's
-    top two or the tie band, in code order, and their roots (see Pruning).
+    top two or the tie band, in code order (see Pruning).
 
     ``heads`` and ``tails[j]`` bound the norms of the A-first half of tree
     level _TREE_DEPTH and of level j; ``best`` is the best root of the
@@ -286,20 +271,13 @@ def _candidates(tree: list[np.ndarray], heads: np.ndarray, tails: list[np.ndarra
     r = k - _TREE_DEPTH
     mu = float(tails[1].max())
     if not (math.isfinite(best) and heads.max() * max(1.0, mu) ** r <= _NORM_CEIL):
-        return codes, _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
+        return codes
     bound = heads[codes >> r] * (tails[r][codes & ((1 << r) - 1)] + _REASSOC * r * mu ** r)
     bound = bound ** (1.0 / k) * (1.0 + _MARGIN)
-    seeds = np.sort(np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:])
-    seed_roots = _word_rhos(tree, codes[seeds], k, a, b) ** (1.0 / k)
-    second, first = np.partition(seed_roots, -2)[-2:]
+    seeds = codes[np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:]]
+    second, first = np.partition(_word_rhos(tree, seeds, k, a, b) ** (1.0 / k), -2)[-2:]
     keep = ~(bound < min(second, max(best, first) - tie_tol))
-    del bound  # at L = 24 each array of this length is 5.6 MB
-    fresh = keep.copy()
-    fresh[seeds] = False  # their roots are known
-    roots = np.empty(np.count_nonzero(keep))
-    roots[fresh[keep]] = _word_rhos(tree, codes[fresh], k, a, b) ** (1.0 / k)
-    roots[~fresh[keep]] = seed_roots[keep[seeds]]
-    return (codes if keep.all() else codes[keep]), roots
+    return codes if keep.all() else codes[keep]
 
 
 def scan_classes(a, b, max_len: int, tie_tol: float):
@@ -332,8 +310,9 @@ def scan_classes(a, b, max_len: int, tie_tol: float):
             codes = short_codes[k - 1]
             roots = short_rhos[ends[k - 1]:ends[k]] ** (1.0 / k)
         else:
-            codes, roots = _candidates(tree, heads, tails, lyndon_codes(k), k, a, b,
-                                       max(best_root[1:k]), tie_tol)
+            codes = _candidates(tree, heads, tails, lyndon_codes(k), k, a, b,
+                                max(best_root[1:k]), tie_tol)
+            roots = _word_rhos(tree, codes, k, a, b) ** (1.0 / k)
         i = int(np.argmax(roots))  # first occurrence = lex-least on ties
         best_root[k] = float(roots[i])
         best_word[k] = format(int(codes[i]), f"0{k}b")

@@ -107,16 +107,16 @@ def test_kernels_bit_identical_where_level_14_norms_tie(name):
 
 
 @pytest.mark.parametrize("k", [15, 17, 20])
-def test_word_rhos_bit_identical_on_both_sides_of_the_small_batch(k):
-    # _word_rhos takes two GEMMs per tail letter up to _SMALL_BATCH words
-    # and runs of one tail letter beyond; both match the letter-by-letter
-    # reference, on a tree holding only its A-first half below the tail depth
+def test_word_rhos_bit_identical_on_an_a_first_tree(k):
+    # _word_rhos matches the letter-by-letter reference on a tree holding
+    # only its A-first half below the tail depth, for a batch with a few of
+    # the 2^(r+1) - 2 tail runs and for one with most of them
     rng = np.random.default_rng(k)
     a, b = _prescaled(random_pair(rng))
     a, b = np.reshape(a, (2, 2)), np.reshape(b, (2, 2))
     r = k - 14
     _, tree = kernels._left_tree(a, b, 14, r)
-    for n in (kernels._SMALL_BATCH, kernels._SMALL_BATCH + 1):
+    for n in (16, 1025):
         codes = np.sort(rng.choice(1 << (k - 1), n, replace=False))  # start with A
         letters = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
         expect = reference_kernels._rhos(reference_kernels._batch_products(letters, a, b))
@@ -186,21 +186,15 @@ def test_pruning_skips_most_deep_products(rng, monkeypatch):
 
 
 def test_deep_scan_skips_what_its_bounds_exclude(rng, monkeypatch):
-    # at L = 18 the deep words are multiplied out once each, norm_profile
-    # sorts a few level-14 rows (a median of 2 on seeded pairs), and the
-    # left tree fills only its A-first half below the 4-letter tails
-    # (np.empty returns NaN here, so a row never written stays NaN)
+    # at L = 18 norm_profile sorts a few level-14 rows (a median of 2 on
+    # seeded pairs), and the left tree fills only its A-first half below
+    # the 4-letter tails (np.empty returns NaN here, so a row never written
+    # stays NaN)
     max_len, r = 18, 4
-    rho_calls: dict[int, list[np.ndarray]] = {}
     sorted_sizes: list[int] = []
     row_sorts = []
     trees = []
-    word_rhos, argsort, left_tree, empty = (
-        kernels._word_rhos, np.argsort, kernels._left_tree, np.empty)
-
-    def count_word_rhos(tree, codes, k, a, b):
-        rho_calls.setdefault(k, []).append(codes)
-        return word_rhos(tree, codes, k, a, b)
+    argsort, left_tree, empty = np.argsort, kernels._left_tree, np.empty
 
     def count_argsort(x, *args, **kwargs):
         sorted_sizes.append(len(x))
@@ -216,17 +210,12 @@ def test_deep_scan_skips_what_its_bounds_exclude(rng, monkeypatch):
             out.fill(np.nan)
         return out
 
-    monkeypatch.setattr(kernels, "_word_rhos", count_word_rhos)
     monkeypatch.setattr(kernels, "_left_tree", keep_left_tree)
     monkeypatch.setattr(np, "empty", nan_empty)
     for _ in range(9):
         a, b = _prescaled(random_pair(rng))
-        rho_calls.clear()
         trees.clear()
         kernels.scan_classes(a, b, max_len, 1e-9)
-        for k, batches in rho_calls.items():
-            codes = np.concatenate(batches)
-            assert len(np.unique(codes)) == len(codes), k
         (_, levels), = trees
         for k, level in enumerate(levels):
             filled = ~np.isnan(level).any(axis=(1, 2))
