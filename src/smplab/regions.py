@@ -37,15 +37,20 @@ flag logic; only the norm scaling, the zero-matrix case and the decoding
 of the flags differ per shape.  ``classify`` takes about 20 us per pair on a
 2-CPU x86 host with Python 3.11, and serves ``certify``, the Sturmian
 route, ``symmetrize`` and the ``classify`` command.  ``classify_arrays``
-makes a fixed number of numpy passes over an (n, 8) array, about 0.5 us
-per row at n = 10^4 on the same host.  ``monte_carlo_regions`` draws each
-seeded block of 10^4 rows at once and classifies it in one
-``classify_arrays`` call, one block after another.
+makes a fixed number of numpy passes over an (n, 8) array, about 0.2 us
+per row at n = 10^4 on the same host; its norms skip the rescale when no
+row needs ``operator_norm_2``'s range step.  ``monte_carlo_regions`` draws
+each seeded block of 10^4 rows at once, then classifies it in tiles of
+``_MC_TILE`` rows and counts straight from the flags, about 0.3 us per
+row with the draws.  A whole block's temporaries (about 3.6 MB) are freed
+to the OS and faulted back in for every block; a tile's stay in the
+allocator and in cache (see ``_MC_TILE``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -266,18 +271,16 @@ def _operator_norm_2_arrays(m: np.ndarray) -> np.ndarray:
     """``operator_norm_2`` over arrays, with its range step as a mask and the
     closed form of the scan kernels."""
     scale = np.abs(m).max(axis=0)
-    s = np.where((scale > 1e75) | ((0.0 < scale) & (scale < 1e-75)), scale, 1.0)
+    ranged = (scale > 1e75) | ((0.0 < scale) & (scale < 1e-75))
+    if not ranged.any():  # s = 1.0 everywhere, and m / 1.0 and 1.0 * x are exact
+        return np.sqrt(0.5 * _twice_sq_norms(*m))
+    s = np.where(ranged, scale, 1.0)
     return s * np.sqrt(0.5 * _twice_sq_norms(*_divided_by_arrays(m, s)))
 
 
-def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
-    """``classify`` for every row of an (n, 8) array of pairs.
-
-    Row i holds A's entries (a11, a12, a21, a22) and then B's.  The margins
-    and flags come from the same code as ``classify``'s, so they equal its
-    results bit for bit.  Non-finite entries raise ValueError, as
-    ``MatrixPair`` does; so does a negative or NaN ``tol``.
-    """
+def _array_flags(entries: np.ndarray, tol: float) -> tuple[list, dict[str, np.ndarray]]:
+    """``classify_arrays`` before the decoding: the (definitely True,
+    definitely False) pair of each flag, and the margins."""
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[1] != 8:
         raise ValueError(f"entries must have shape (n, 8), got {e.shape}")
@@ -293,10 +296,21 @@ def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
     if zero.any():
         for key, value in margins.items():
             value[zero] = 0.0 if key == "commutator" else math.nan
+    return _flags(*margins.values(), tol), margins
+
+
+def classify_arrays(entries: np.ndarray, tol: float = 1e-9) -> RegionArrays:
+    """``classify`` for every row of an (n, 8) array of pairs.
+
+    Row i holds A's entries (a11, a12, a21, a22) and then B's.  The margins
+    and flags come from the same code as ``classify``'s, so they equal its
+    results bit for bit.  Non-finite entries raise ValueError, as
+    ``MatrixPair`` does; so does a negative or NaN ``tol``.
+    """
+    flags, margins = _array_flags(entries, tol)
     # (definitely True, definitely False) -> int8 1 / 0, and -1 for neither
-    flags = [t.view(np.int8) - (~(t | f)).view(np.int8)
-             for t, f in _flags(*margins.values(), tol)]
-    return RegionArrays(*flags, margins)
+    return RegionArrays(*[t.view(np.int8) - (~(t | f)).view(np.int8) for t, f in flags],
+                        margins)
 
 
 def classify_tuple(t: FiveTuple, tol: float = 1e-9) -> RegionFlags:
@@ -451,27 +465,34 @@ MC_KEYS = (
 )
 
 _DISTRIBUTIONS = ("normal", "uniform01")
+# Rows per classification tile.  A whole 10^4-row block's numpy temporaries
+# peak near 3.6 MB (tracemalloc), which glibc hands back to the OS after each
+# block and faults in again: about 1 200 minor faults a block.  A 2048-row
+# tile's stay in the heap and in cache (the block traces 1.4 MB in all).  On
+# the montecarlo benchmark, 1024 rows cost more in numpy call overhead than
+# they saved, and 2560-4096 rows still faulted 80-450 pages a block.
+_MC_TILE = 2048
 
 
 def _mc_block(seed_seq: np.random.SeedSequence, count: int, distribution: str,
-              tol: float) -> dict[str, int]:
+              tol: float) -> Counter:
     rng = np.random.default_rng(seed_seq)
     if distribution == "normal":
         entries = rng.standard_normal((count, 8))
     else:
         entries = rng.random((count, 8))
-    f = classify_arrays(entries, tol)
-    true = {key: flag == 1 for key, flag in (
-        ("cross", f.in_cross), ("mix", f.in_mix), ("neg", f.in_neg),
-        ("copar", f.in_copar), ("anti", f.in_anti),
-        ("complex", f.in_complex), ("reducible", f.reducible))}
-    tally = {key: np.count_nonzero(t) for key, t in true.items()}
-    tally["indeterminate"] = np.count_nonzero(f.indeterminate)
-    tally["union4"] = np.count_nonzero(f.in_union4)
-    for both, one, two in (("cross&mix", "cross", "mix"), ("cross&neg", "cross", "neg"),
-                           ("copar&cross", "copar", "cross")):
-        tally[both] = np.count_nonzero(true[one] & true[two])
-    tally["total"] = count
+    tally: Counter = Counter(total=count)
+    for start in range(0, count, _MC_TILE):
+        flags, _ = _array_flags(entries[start:start + _MC_TILE], tol)
+        true = dict(zip(MC_KEYS, (t for t, _ in flags)))  # MC_KEYS starts with the 7 flags
+        tally.update({key: np.count_nonzero(t) for key, t in true.items()})
+        definite = np.logical_and.reduce([t | f for t, f in flags])
+        tally["indeterminate"] += definite.size - np.count_nonzero(definite)
+        tally["union4"] += np.count_nonzero(
+            true["cross"] | true["mix"] | true["neg"] | true["copar"])
+        for both, one, two in (("cross&mix", "cross", "mix"), ("cross&neg", "cross", "neg"),
+                               ("copar&cross", "copar", "cross")):
+            tally[both] += np.count_nonzero(true[one] & true[two])
     return tally
 
 
@@ -484,14 +505,23 @@ def monte_carlo_regions(seed: int, n: int, distribution: str = "normal",
     no canonical measure exists, this is a declared choice).  Sampling is
     split into blocks with seeds derived from the master seed, so the
     result is deterministic for a given seed and block size.  Each block
-    is drawn as one (block_size, 8) array and classified by one
-    ``classify_arrays`` call; blocks run one after another.  ``threads``
-    is accepted for compatibility and ignored.
+    is drawn as one (block_size, 8) array, then classified ``_MC_TILE``
+    rows at a time, and each tile's counts are read straight from the
+    flags' (definitely True, definitely False) pairs; blocks run one after
+    another.  The tiles change no count: every row is classified alone.
+    ``n`` and ``block_size`` must be ints (not bools), and a negative or
+    NaN ``tol`` raises ValueError before anything is drawn.  The counts
+    are plain ints.  ``threads`` is accepted for compatibility and ignored.
     """
+    for name, value in (("n", n), ("block_size", block_size)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if distribution not in _DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, "
                          f"expected one of {_DISTRIBUTIONS}")
@@ -503,4 +533,4 @@ def monte_carlo_regions(seed: int, n: int, distribution: str = "normal",
     total: Counter = Counter()
     for child, size in zip(children, sizes):
         total.update(_mc_block(child, size, distribution, tol))
-    return {key: total.get(key, 0) for key in MC_KEYS}
+    return {key: int(total[key]) for key in MC_KEYS}

@@ -1,5 +1,7 @@
+import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from smplab.regions import (
     classify_tuple,
     geometric_oracle,
     monte_carlo_regions,
+    MC_KEYS,
+    _MC_TILE,
 )
 from smplab.sturmian import maximize_sturmian
 
@@ -179,6 +183,66 @@ def test_monte_carlo_rejects_block_size_below_one(block_size):
         monte_carlo_regions(0, 10, block_size=block_size)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": 100.0}, {"n": True}, {"n": "10"}, {"block_size": 2.0}, {"block_size": False},
+])
+def test_monte_carlo_takes_only_int_counts(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        monte_carlo_regions(**{"seed": 0, "n": 10, **kwargs})
+
+
+def test_monte_carlo_accepts_numpy_ints_and_returns_plain_ints():
+    counts = monte_carlo_regions(0, np.int64(10), block_size=np.int32(4))
+    assert counts == monte_carlo_regions(0, 10, block_size=4)
+    assert all(type(v) is int for v in counts.values())
+    assert json.loads(json.dumps(counts)) == counts
+
+
+def _mc_reference(seed, n, distribution, block_size, tol):
+    """The tally from one whole-block ``classify_arrays`` call per block,
+    drawn from the same seeded children as ``monte_carlo_regions``."""
+    sizes = [block_size] * (n // block_size) + ([n % block_size] if n % block_size else [])
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    total = dict.fromkeys(MC_KEYS, 0)
+    for child, size in zip(children, sizes):
+        rng = np.random.default_rng(child)
+        draw = rng.standard_normal if distribution == "normal" else rng.random
+        f = classify_arrays(draw((size, 8)), tol)
+        true = {key: getattr(f, attr) == 1 for key, attr in zip(MC_KEYS, FLAGS)}
+        for key, t in true.items():
+            total[key] += int(t.sum())
+        total["indeterminate"] += int(f.indeterminate.sum())
+        total["union4"] += int(f.in_union4.sum())
+        for one, two in (("cross", "mix"), ("cross", "neg"), ("copar", "cross")):
+            total[f"{one}&{two}"] += int((true[one] & true[two]).sum())
+        total["total"] += size
+    return total
+
+
+@pytest.mark.parametrize("block_size", [1, _MC_TILE - 1, _MC_TILE, _MC_TILE + 1,
+                                        3 * _MC_TILE + 5, 10_000])
+@pytest.mark.parametrize("distribution", ["normal", "uniform01"])
+def test_monte_carlo_tally_does_not_depend_on_the_tile(block_size, distribution):
+    n = 7 if block_size == 1 else 2 * block_size + 17
+    # a wide tol makes some flags indeterminate
+    for seed, tol in ((0, 1e-9), (5, 1e-9), (2**40 + 3, 0.02)):
+        got = monte_carlo_regions(seed, n, distribution, tol, block_size=block_size)
+        assert got == _mc_reference(seed, n, distribution, block_size, tol)
+
+
+def test_monte_carlo_working_set_stays_below_2_mb():
+    # a whole 10^4-row block of numpy temporaries peaks near 3.6 MB
+    for seed, distribution in ((3, "normal"), (4, "uniform01")):
+        tracemalloc.start()
+        try:
+            monte_carlo_regions(seed, 10_000, distribution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (distribution, peak)
+
+
 def test_classify_zero_matrix_is_reducible():
     f = classify(MatrixPair(Mat2(0, 0, 0, 0), Mat2(1, 2, 3, 4)))
     assert f.reducible is True
@@ -245,6 +309,22 @@ def test_classify_arrays_matches_classify_on_edge_rows():
     assert list(got.reducible[7:8]) == [-1] and got.indeterminate[7:10].all()
 
 
+def test_classify_arrays_matches_classify_with_and_without_the_range_step():
+    # the whole array takes the range step; its first tile needs none, so
+    # there the norms skip the rescale
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((2 * _MC_TILE + 3, 8))
+    rows[::97, :4] = 0.0
+    rows[5::101, 4:] = 0.0
+    for k, scale in enumerate((1e200, 1e-200, 1e-310)):
+        rows[_MC_TILE + k::7] *= scale
+    rows[_MC_TILE + 3::11, :4] *= 1e-310
+    assert_matches_scalar(rows)
+    first = np.abs(rows[:_MC_TILE])
+    assert first.max() < 1e75 and first[first > 0].min() > 1e-75
+    assert_matches_scalar(rows[:_MC_TILE])
+
+
 def test_classify_arrays_input_checks():
     empty = classify_arrays(np.empty((0, 8)))
     assert empty.in_cross.shape == (0,) and empty.margins["commutator"].shape == (0,)
@@ -282,6 +362,8 @@ def test_negative_or_nan_tol_is_rejected(tol):
         lambda: classify(DIAG_ONES, tol),
         lambda: classify(MatrixPair(Mat2(0, 0, 0, 0), DIAG_ONES.B), tol),
         lambda: classify_arrays(np.ones((2, 8)), tol),
+        lambda: monte_carlo_regions(1, 0, tol=tol),  # before anything is drawn
+        lambda: monte_carlo_regions(1, 5, "uniform01", tol=tol),
         lambda: classify_tuple(FiveTuple(3, 3, 8, 1, 1), tol),
         lambda: classify_tuple(FiveTuple(3, 1, 1, 1, 1), tol),  # disc(B) < 0: no window
         lambda: certify(DIAG_ONES, tol),
