@@ -87,6 +87,17 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed value; numpy seeds only with non-negative ints."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative int, got {seed}")
+    return seed
+
+
 # ------------------------------------------------------------------ commands
 
 def _cmd_classify(opts) -> int:
@@ -336,12 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="CSV columns: region,count. Rows: cross, mix, neg, copar, "
                     "anti, complex, reducible, indeterminate, union4, "
                     "cross&mix, cross&neg, copar&cross, total.")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dist", default="normal", choices=["normal", "uniform01"])
 
     p = add("reproduce", _cmd_reproduce, help="run the acceptance criteria")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--list", action="store_true", help="print criterion names only")
     p.add_argument("--only", nargs="*", help="restrict to these criterion names")
     return top

@@ -45,6 +45,8 @@ from .linalg import (
     spectral_radius_entries,
     spectrum,
     SpectrumKind,
+    _check_count,
+    _check_tol,
     unit_scaled,
 )
 from .regions import classify
@@ -63,6 +65,12 @@ __all__ = [
 ]
 
 MAX_BRUTE_LEN = 24  # cost guard: 2^25 products beyond this
+
+
+def _check_max_len(name: str, value) -> None:
+    _check_count(name, value)
+    if not 1 <= value <= MAX_BRUTE_LEN:
+        raise ValueError(f"{name} must be in 1..{MAX_BRUTE_LEN}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,13 +131,12 @@ def brute_force(p: MatrixPair, max_len: int = 12,
     reported roots are scale-corrected, and ``tie_tol`` is relative to
     that max norm.  ``upper`` uses the Euclidean operator norm, so
     ``norm`` in the report is always "euclid".  Best-word ties break to
-    the shorter length, then lexicographically.  A negative or NaN
-    ``tie_tol`` raises ValueError.
+    the shorter length, then lexicographically.  A ``max_len`` that is not
+    an int raises TypeError; one outside 1..MAX_BRUTE_LEN, or a negative
+    or NaN ``tie_tol``, raises ValueError.
     """
-    if not 1 <= max_len <= MAX_BRUTE_LEN:
-        raise ValueError(f"max_len must be in 1..{MAX_BRUTE_LEN}, got {max_len}")
-    if not tie_tol >= 0.0:
-        raise ValueError(f"tie_tol must be >= 0, got {tie_tol!r}")
+    _check_max_len("max_len", max_len)
+    _check_tol("tie_tol", tie_tol)
     s = max(operator_norm_2(p.A), operator_norm_2(p.B)) or 1.0
     a_s = p.A.divided_by(s)
     b_s = p.B.divided_by(s)
@@ -242,7 +249,8 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
 
     P is A and Q is B for direction "A_pow_B"; swapped for "B_pow_A"
     (rho(B^n A) equals rho(A B^n) by cyclic invariance).  n runs from 0
-    to ``cap``; a negative ``cap`` raises ValueError.  Termination:
+    to ``cap``; a ``cap`` that is not an int raises TypeError, a negative
+    one ValueError.  Termination:
     once alpha = |P^n|^(1/n) drops strictly below the running best,
     submultiplicativity gives |P^m| <= K alpha^m with
     K = max_s<n |P^s| / alpha^s, hence
@@ -271,6 +279,7 @@ def gelfand_scan(p: MatrixPair, direction: str = "A_pow_B",
     ``unit_scaled(p)``, so its answer does not depend on the scale of p.
     """
     pm, qm = _oriented(p, direction)
+    _check_count("cap", cap)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if pm.is_zero():
@@ -405,7 +414,15 @@ def certify(p: MatrixPair, tol: float = 1e-9, brute_len: int = 12,
     The routes run on ``unit_scaled(p)`` and scale value and bounds back
     by the same exact power of two, so route, word and ties do not depend
     on the scale of p.  The Sturmian descent runs on p: its logs are safe.
+    Whichever route runs, ``brute_len`` is checked as ``brute_force``
+    checks ``max_len``, and a ``resolution`` that is not positive raises
+    ValueError.
     """
+    _check_max_len("brute_len", brute_len)
+    # the sign of a Fraction's or an int's numerator is its own; comparing a
+    # Fraction costs more than all of certify's other checks
+    if not getattr(resolution, "numerator", resolution) > 0:
+        raise ValueError("resolution must be positive")
     q, e = unit_scaled(p)
     cand = _certify_routes(p, q, tol, brute_len, resolution)
     if e == 0 or cand.certificate == "co-parallel-sturmian-candidate":
@@ -422,16 +439,11 @@ def _certify_routes(p: MatrixPair, q: MatrixPair, tol: float, brute_len: int,
     ra = spectral_radius(q.A)
     rb = spectral_radius(q.B)
 
-    if flags.reducible is True:
+    if flags.reducible is True or flags.in_cross is True:
         word, value, ties = _argmax_words([("0", ra), ("1", rb)], tol)
         return SmpCandidate(word=word, value=value, certified=True,
-                            certificate="reducible-triangularizable",
-                            jsr=value, ties=ties)
-
-    if flags.in_cross is True:
-        word, value, ties = _argmax_words([("0", ra), ("1", rb)], tol)
-        return SmpCandidate(word=word, value=value, certified=True,
-                            certificate="crossing-single-letter",
+                            certificate="reducible-triangularizable" if flags.reducible is True
+                            else "crossing-single-letter",
                             jsr=value, ties=ties)
 
     if flags.in_neg is True:

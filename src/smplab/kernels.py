@@ -11,10 +11,16 @@ Two functions do the heavy lifting of the brute-force bounds:
     Per-length maximum of the Euclidean operator norm over all 2^k
     products, reported as k-th roots.
 
-Matrices are passed as flat (a11, a12, a21, a22) tuples known to be
-pre-scaled by the caller.  Callers look both functions up on this module
-at call time (``kernels.scan_classes``), so a wrapper set here sees every
-call.
+Matrices are passed as flat (a11, a12, a21, a22) tuples.  The one
+caller, ``jsr.brute_force``, divides both letters by max(|A|, |B|).
+So, up to rounding, no entry exceeds 1 and no letter has a norm above 2,
+nor above 1 save for a pair whose norm is subnormal, where the divisor
+keeps only a few bits.  No product of up to 28 letters has a norm above
+2^28, far below 2^256, where t^2 in the norm's closed form would
+overflow.  The pruning argument below assumes this; letters of much
+larger norm are outside the contract.  Callers look both functions up
+on this module at call time (``kernels.scan_classes``), so a wrapper
+set here sees every call.
 
 A word of length k is handled as its integer code (first letter = most
 significant bit, ``words.lyndon_codes``), so the product of a word of
@@ -104,10 +110,8 @@ values, with u = 2^-53, because:
   _REASSOC r mu^r to |T| (1e-15 >= 2 * 4.1u, with room for rounding mu);
 - range: every N is raised to _N_FLOOR.  A computed N below a quarter of
   it can read up to 2x low, as its squares underflow, and the floor then
-  bounds it; above that, the underflow is far below u.  Neither kernel
-  prunes when a product's norm could pass _NORM_CEIL, where t^2 or tr^2
-  could overflow: ``scan_classes`` then evaluates every word, and
-  ``norm_profile`` multiplies every prefix into the whole level 14.
+  bounds it; above that, the underflow is far below u.  By the input
+  contract nothing overflows.
 
 Together a computed value exceeds its computed bound by a factor below
 1 + 2e-7 before the margin, and the k-th root and the few roundings of
@@ -117,26 +121,23 @@ Nothing but the Lyndon tables outlives a call.  Up to L = 18 no array
 holds more than 2^14 products.  Warm timings on a 2-CPU host (the pairs
 of ``benchmarks/bench_kernels.py``: a fixed random pre-scaled pair, then
 the worst case, an orthogonal pair where every product has norm 1 and
-nothing is pruned), best of 7 calls in each of two rounds, with those of
-the kernels before the A-first tree, the partial row sort and the tie
-matrix in brackets; the host's speed changed about twofold between the
-rounds:
+nothing is pruned), best of 7 calls in each of two rounds; the host's
+speed changed about twofold between the rounds:
 
-=====  ===================  ===================  ===================  ================
-L      scan_classes         norm_profile         scan_classes         norm_profile
-       (random, ms)         (random, ms)         (orthogonal, ms)     (orthogonal, ms)
-=====  ===================  ===================  ===================  ================
-18     1.4-3.0 (1.5-3.3)    0.8-1.7 (1.2-2.6)    10-20 (29-63)        8-20 (8-14)
-20     2.4-5.7 (2.6-6.3)    1.0-1.7 (1.4-2.9)    39-47 (103-122)      29-36 (29-35)
-=====  ===================  ===================  ===================  ================
+=====  ============  ============  ================  ================
+L      scan_classes  norm_profile  scan_classes      norm_profile
+       (random, ms)  (random, ms)  (orthogonal, ms)  (orthogonal, ms)
+=====  ============  ============  ================  ================
+18     1.4-3.0       0.8-1.7       10-20             8-20
+20     2.4-5.7       1.0-1.7       39-47             29-36
+=====  ============  ============  ================  ================
 
-At L = 24 the random pair takes 19-40 ms and 1.2-2.8 ms (21-38 and
-1.7-3.6 ms before).  A pair where nothing prunes: at L = 24
-``scan_classes`` holds the 698 870 products of the longest Lyndon words
-at once (22 MB), ``brute_force`` peaks at about 335 MB of resident
-memory (325-331 MB before), and the kernels take 0.73-0.77 s and
-0.47-0.52 s (2.2-2.6 s and 0.55-0.62 s before).  ``BENCH_deep_scan.json``
-holds these runs and the end-to-end ones.
+At L = 24 the random pair takes 19-40 ms and 1.2-2.8 ms.  A pair where
+nothing prunes: at L = 24 ``scan_classes`` holds the 698 870 products of
+the longest Lyndon words at once (22 MB), ``brute_force`` peaks at about
+335 MB of resident memory, and the kernels take 0.73-0.77 s and
+0.47-0.52 s.  ``BENCH_deep_scan.json`` holds these runs, the earlier
+kernels' and the end-to-end ones.
 """
 
 from __future__ import annotations
@@ -160,7 +161,6 @@ _MARGIN = 1e-6           # relative slack on every bound, after the k-th root
 _SEED_WORDS = 64         # exact values that set the first threshold
 _REASSOC = 1e-15         # tail reassociation error, per letter, times mu^r
 _N_FLOOR = 2.0 ** -470   # 2|P|^2 below this may have lost relative accuracy
-_NORM_CEIL = 2.0 ** 250  # no product whose norm stays below this overflows
 
 _NEG_INF = float("-inf")
 
@@ -265,13 +265,10 @@ def _candidates(tree: list[np.ndarray], heads: np.ndarray, tails: list[np.ndarra
 
     ``heads`` and ``tails[j]`` bound the norms of the A-first half of tree
     level _TREE_DEPTH and of level j; ``best`` is the best root of the
-    shorter lengths.  Every code comes back where products could overflow
-    and the bounds are not safe.
+    shorter lengths.
     """
     r = k - _TREE_DEPTH
     mu = float(tails[1].max())
-    if not (math.isfinite(best) and heads.max() * max(1.0, mu) ** r <= _NORM_CEIL):
-        return codes
     bound = heads[codes >> r] * (tails[r][codes & ((1 << r) - 1)] + _REASSOC * r * mu ** r)
     bound = bound ** (1.0 / k) * (1.0 + _MARGIN)
     seeds = codes[np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:]]
@@ -378,28 +375,19 @@ def norm_profile(a, b, max_len: int):
         transposed = level.transpose(0, 2, 1).copy()
         n_prefix = _floored_norms(level)
         visit = np.argsort(n_prefix)[::-1]
-        # where a product could overflow the bounds are not safe: every
-        # prefix meets every row, and max() skips an overflowed batch's NaN
-        safe = 0.5 * n_prefix.max() * n_rows.max() <= _NORM_CEIL ** 2
-        if safe:
-            mx = _twice_sq_norm_max(seeds @ transposed[visit[0]])
-            reach |= (0.5 * (1.0 + _MARGIN)) * n_prefix[visit[0]] * n_rows >= mx
-        else:
-            mx = 0.0
-            reach[:] = True
-        scans.append((transposed, n_prefix, visit, safe, mx))
+        mx = _twice_sq_norm_max(seeds @ transposed[visit[0]])
+        reach |= (0.5 * (1.0 + _MARGIN)) * n_prefix[visit[0]] * n_rows >= mx
+        scans.append((transposed, n_prefix, visit, mx))
     order = np.flatnonzero(reach)
     order = order[np.argsort(n_rows[order])[::-1]]
     srows = rows.reshape(-1, 2, 2)[order].reshape(-1, 2)
     n_suffix = n_rows[order]
-    for k, (transposed, n_prefix, visit, safe, mx) in enumerate(scans, _TREE_DEPTH + 1):
+    for k, (transposed, n_prefix, visit, mx) in enumerate(scans, _TREE_DEPTH + 1):
         for i in visit:
-            hi = len(n_suffix)
-            if safe:
-                hi = int(np.count_nonzero(
-                    (0.5 * (1.0 + _MARGIN)) * n_prefix[i] * n_suffix >= mx))
-                if hi == 0:
-                    break  # the later prefixes have no larger norm
+            hi = int(np.count_nonzero(
+                (0.5 * (1.0 + _MARGIN)) * n_prefix[i] * n_suffix >= mx))
+            if hi == 0:
+                break  # the later prefixes have no larger norm
             mx = max(mx, _twice_sq_norm_max(srows[:2 * hi] @ transposed[i]))
         out.append(math.sqrt(0.5 * mx) ** (1.0 / k))
     return out

@@ -19,6 +19,7 @@ lives in :mod:`smplab.fricke`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -54,6 +55,20 @@ __all__ = [
 
 # entries that float() would take but that are not numbers
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def _check_count(name: str, value) -> None:
+    """TypeError unless value is an int; a bool is not one.  A plain int
+    skips the ABC check, which costs more than ``certify``'s other checks."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_tol(name: str, value) -> None:
+    """ValueError for a negative or NaN tolerance."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,7 +50,6 @@ allocator and in cache (see ``_MC_TILE``).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +63,8 @@ from .linalg import (
     MatrixPair,
     Spectrum,
     SpectrumKind,
+    _check_count,
+    _check_tol,
     _unit_tuple,
     commutator_quintic,
     operator_norm_2,
@@ -204,8 +205,7 @@ def _flags(comm, disc_a, disc_b, det_a, det_b, det_product, dominance, alignment
     is none of the three.  Comparisons, & and | only, so the margins may be
     floats or numpy arrays.  A negative or NaN tol raises ValueError.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_tol("tol", tol)
     c_pos, c_zero, c_neg = comm > tol, comm == 0.0, comm < -tol
     a_pos, a_zero, a_neg = disc_a > tol, disc_a == 0.0, disc_a < -tol
     b_pos, b_zero, b_neg = disc_b > tol, disc_b == 0.0, disc_b < -tol
@@ -513,15 +513,13 @@ def monte_carlo_regions(seed: int, n: int, distribution: str = "normal",
     NaN ``tol`` raises ValueError before anything is drawn.  The counts
     are plain ints.  ``threads`` is accepted for compatibility and ignored.
     """
-    for name, value in (("n", n), ("block_size", block_size)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+    _check_count("n", n)
+    _check_count("block_size", block_size)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_tol("tol", tol)
     if distribution not in _DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, "
                          f"expected one of {_DISTRIBUTIONS}")

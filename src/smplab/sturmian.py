@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (Mat2, MatrixPair, renormalized, scaled_letter,
+from .linalg import (Mat2, MatrixPair, _check_tol, renormalized, scaled_letter,
                      scaled_word_product, spectral_radius)
 from .regions import classify
 from .words import christoffel
@@ -405,8 +405,7 @@ def maximize_sturmian(p: MatrixPair, resolution: Fraction = Fraction(1, 1024),
                          f"copar flag = {flags.in_copar!r}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if not audit_tol >= 0.0:  # NaN would pass every audit
-        raise ValueError(f"audit_tol must be >= 0, got {audit_tol!r}")
+    _check_tol("audit_tol", audit_tol)  # NaN would pass every audit
     resolution = Fraction(resolution)
     res_num, res_den = resolution.numerator, resolution.denominator
 

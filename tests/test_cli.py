@@ -341,3 +341,15 @@ def test_non_finite_pair_entry_exits_1_and_fails_only_its_batch_line(
     assert code == 2
     assert len(rows) == 3 and rows[0] == rows[2] and "lower" in rows[0]
     assert rows[1] == {"line": 2, "error": f"malformed pair: ValueError({message!r})"}
+
+
+@pytest.mark.parametrize("argv", [["montecarlo", "--samples", "10", "--seed", "-1"],
+                                  ["reproduce", "--seed", "-1"],
+                                  ["reproduce", "--seed", "x"]])
+def test_a_seed_that_is_not_a_non_negative_int_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed:" in captured.err

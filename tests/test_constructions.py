@@ -330,3 +330,17 @@ def test_symmetrize_accepts_crossing_pairs_whose_matrices_differ_in_scale(c):
         assert classify(q).in_cross is True
         x, y, z, u, v = five_tuple(symmetrize(q))
         assert _tuples_close((x / c, y, z / c, u / c / c, v), five_tuple(p))
+
+
+def test_family_check_over_half_vertices_matches_every_vertex():
+    # ExampleFamily checks invariance with polygon_operator_norm, which visits
+    # the n + 1 half-vertices: -w maps to -(M w), whose gauge is bitwise that
+    # of M w, so a loop over all 2n + 2 vertices reaches the same verdict
+    for n in range(1, 41):
+        fam = counterexample_family(n)  # raises if the half-vertex check fails
+        poly, half = fam.polygon, len(fam.polygon.half_vertices)
+        for m in (fam.A, fam.B):
+            gauges = [polygon_gauge(poly, m.apply(w)).hex() for w in poly.vertices()]
+            assert gauges[half:] == gauges[:half]
+            assert max(map(float.fromhex, gauges)) == polygon_operator_norm(poly, m)
+            assert all(float.fromhex(g) <= 1.0 + 1e-12 for g in gauges)

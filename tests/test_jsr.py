@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_scan
 from conftest import conjugated, random_pair
-from smplab import jsr
+from smplab import jsr, kernels
 from smplab.constructions import (
     counterexample_family,
     realize_from_tuple,
@@ -58,6 +58,37 @@ def test_brute_force_rejects_a_negative_or_nan_tie_tol():
             brute_force(pair, 8, tie_tol=tie_tol)
     # an infinite band lists every class: 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30
     assert len(brute_force(pair, 8, tie_tol=math.inf).ties) == 71
+
+
+@pytest.mark.parametrize("max_len", [12.0, True])
+def test_brute_force_takes_only_an_int_max_len(max_len):
+    with pytest.raises(TypeError, match="max_len must be an int"):
+        brute_force(DIAG_ONES, max_len)
+
+
+# where the pair's norm is subnormal, brute_force's divisor keeps only a few
+# bits: the letters' entries stay at most 1, and so their norms at most 2
+@pytest.mark.parametrize("scale, norm_bound", [(2.0 ** -1074, 2.0), (1e-300, 1.0 + 1e-12),
+                                               (1.0, 1.0 + 1e-12), (1e300, 1.0 + 1e-12)])
+def test_brute_force_hands_the_kernels_unit_scaled_letters(
+        rng, monkeypatch, scale, norm_bound):
+    # the kernels' input contract (kernels.py): their pruning bounds assume it
+    norms, entries = [], []
+    scan = kernels.scan_classes
+
+    def spy(a, b, max_len, tie_tol):
+        norms.append(max(operator_norm_2(Mat2(*a)), operator_norm_2(Mat2(*b))))
+        entries.append(max(map(abs, (*a, *b))))
+        return scan(a, b, max_len, tie_tol)
+
+    monkeypatch.setattr(kernels, "scan_classes", spy)
+    pairs = [random_pair(rng), random_pair(rng),
+             MatrixPair(Mat2(0, 0, 0, 0), Mat2(0.3, -1.2, 0.8, 0.5)),
+             MatrixPair(Mat2(0, 1, 0, 0), Mat2(0.3, -1.2, 0.8, 0.5))]
+    for p in pairs:
+        brute_force(MatrixPair(p.A * scale, p.B * scale), 15)
+    assert len(norms) == len(pairs)
+    assert max(norms) <= norm_bound and max(entries) <= 1.0 + 1e-12
 
 
 def test_brute_force_rho_words_attain_reported_values(rng):
@@ -232,6 +263,12 @@ def test_gelfand_scan_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="cap must be >= 0"):
         gelfand_scan(p, cap=-1)
     assert gelfand_scan(p, cap=0).scanned == 1
+
+
+@pytest.mark.parametrize("cap", [1.5, True])
+def test_gelfand_scan_takes_only_an_int_cap(cap):
+    with pytest.raises(TypeError, match="cap must be an int"):
+        gelfand_scan(_row_pair(5), cap=cap)
 
 
 # The closed-form exit: for complex P, gelfand_scan scans nothing when
@@ -660,3 +697,20 @@ def test_certify_is_scale_covariant(pair, k):
     assert (cand.certificate, cand.word) == (ref.certificate, ref.word)
     if ref.certified and cand.certified:
         assert cand.value / c == pytest.approx(ref.value, rel=1e-12)
+
+
+def test_certify_checks_brute_len_and_resolution_on_every_route():
+    # the routes that use neither argument check them too
+    routes = {certify(p).certificate: p for p in _CORPUS[:60]}
+    reducible = MatrixPair(Mat2(2, 1, 0, 0.5), Mat2(1, 3, 0, -1))
+    routes[certify(reducible).certificate] = reducible
+    assert {"reducible-triangularizable", "crossing-single-letter", "brute-force-only",
+            "negative-determinants-short-list"} <= routes.keys()
+    for p in routes.values():
+        with pytest.raises(ValueError, match="brute_len must be in 1..24, got 0"):
+            certify(p, brute_len=0)
+        with pytest.raises(TypeError, match="brute_len must be an int"):
+            certify(p, brute_len=12.0)
+        for resolution in (Fraction(0), -0.5, math.nan):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                certify(p, resolution=resolution)

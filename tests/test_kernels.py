@@ -123,23 +123,6 @@ def test_word_rhos_bit_identical_on_an_a_first_tree(k):
         assert np.array_equal(_bits(kernels._word_rhos(tree, codes, k, a, b)), _bits(expect))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_kernels_bit_identical_where_pruning_bounds_could_overflow(rng):
-    # norms past kernels._NORM_CEIL = 2^250, so neither kernel prunes: every
-    # 15-letter product of the scaled rotations has norm 2^252 (finite),
-    # and the deep products of the pair scaled by 1e20 overflow: every batch
-    # maximum is NaN, which max() skips, so length 15 reads 0.0
-    c = 2.0 ** 16.8
-    rot = tuple(c * e for e in _DEEP_CASES["orthogonal"][0])
-    for max_len in (15, 18):
-        _assert_matches_reference(rot, rot[2:] + rot[:2], max_len)
-    a, b = _prescaled(random_pair(rng), scale=1e20)
-    assert reference_kernels.norm_profile(a, b, 15)[15] == 0.0
-    for max_len in (15, 16):
-        _assert_matches_reference(a, b, max_len)
-
-
 def test_pruned_kernels_bit_identical_at_length_20(rng):
     _assert_matches_reference(*_prescaled(random_pair(rng)), 20)
 

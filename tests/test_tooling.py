@@ -231,3 +231,19 @@ def test_every_smplab_name_the_benchmark_reads_resolves():
             "smplab.linalg.spectral_radius", "smplab.regions.monte_carlo_regions",
             "smplab.constructions.realize_from_tuple"} <= reads
     assert sorted(name for name in reads if not _resolves(name)) == []
+
+
+def test_only_brute_force_calls_the_scan_kernels():
+    # the kernels' pruning argument assumes letters of norm at most 1, which
+    # brute_force's pre-scaling gives (kernels.py, the input contract)
+    kernel_names = {"scan_classes", "norm_profile"}
+    refs = set()  # (module, top-level def that holds the reference, name)
+    for path in sorted((ROOT / "src" / "smplab").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else \
+                    node.name if isinstance(node, ast.alias) else None
+                if name in kernel_names:
+                    refs.add((path.stem, getattr(top, "name", None), name))
+    assert refs == {("jsr", "brute_force", name) for name in kernel_names}
