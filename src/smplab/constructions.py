@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jsr import BoundsReport, brute_force
+from .jsr import MAX_BRUTE_LEN, BoundsReport, brute_force
 from .linalg import (
     FiveTuple,
     Mat2,
@@ -330,11 +330,13 @@ def verify_example(n: int, max_len: int | None = None) -> ExampleReport:
     """Check the defining properties of family member n by brute force.
 
     Both gauge norms must be 1, rho(A^n B) must be 1, and the class scan
-    up to max_len (default 2n + 4) must find 0^n 1 as the unique best
-    class, with the gap to the runner-up reported.
+    up to max_len (default 2n + 4, capped at MAX_BRUTE_LEN) must find 0^n 1
+    as the unique best class, with the gap to the runner-up reported.
+    A max_len below n + 1, as the capped default is for n >= 24, raises
+    ValueError.
     """
     if max_len is None:
-        max_len = 2 * n + 4
+        max_len = min(2 * n + 4, MAX_BRUTE_LEN)
     if max_len < n + 1:
         raise ValueError("max_len must be at least n + 1 to see the optimum")
     fam = counterexample_family(n)

@@ -134,6 +134,13 @@ def test_example_command(capsys):
     assert obj["verification"]["best_word"] == "001"
 
 
+def test_example_verify_default_length_exit_codes(capsys):
+    code, out, _ = run_cli(capsys, "example", "--n", "20", "--verify")
+    assert code == 0 and json.loads(out)["verification"]["ok"] is True
+    code, _, err = run_cli(capsys, "example", "--n", "24", "--verify")
+    assert code == 1 and "at least n + 1" in err
+
+
 def test_montecarlo_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "montecarlo", "--seed", "3", "--samples", "2000")
     assert code == 0

@@ -15,7 +15,7 @@ from smplab.constructions import (
     symmetrize,
     verify_example,
 )
-from smplab.jsr import brute_force
+from smplab.jsr import MAX_BRUTE_LEN, brute_force
 from smplab.linalg import (
     FiveTuple,
     Mat2,
@@ -247,6 +247,15 @@ def test_verify_example_small():
     assert rep3.ok and rep3.best_word == "0001"
     with pytest.raises(ValueError):
         verify_example(3, 2)
+
+
+def test_verify_example_default_length_stays_in_range():
+    # 2n + 4 passes MAX_BRUTE_LEN from n = 11 on; the default is capped there
+    rep = verify_example(20)
+    assert rep.ok and rep.best_word == "0" * 20 + "1"
+    assert rep.bounds.max_len == MAX_BRUTE_LEN
+    with pytest.raises(ValueError, match="at least n \\+ 1"):
+        verify_example(MAX_BRUTE_LEN)
 
 
 def test_verify_example_perturbation_stability():

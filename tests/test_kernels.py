@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_kernels
 from conftest import random_pair
 from smplab import kernels
+from smplab.jsr import brute_force
 from smplab.linalg import Mat2, MatrixPair, operator_norm_2
 from smplab.words import lyndon_codes
 
@@ -171,33 +175,29 @@ def test_pruning_skips_most_deep_products(rng, monkeypatch):
 def test_deep_scan_skips_what_its_bounds_exclude(rng, monkeypatch):
     # at L = 18 norm_profile sorts a few level-14 rows (a median of 2 on
     # seeded pairs), and the left tree fills only its A-first half below
-    # the 4-letter tails (np.empty returns NaN here, so a row never written
-    # stays NaN)
+    # the 4-letter tails (the tree buffer is NaN-filled before each call,
+    # so a row never written stays NaN)
     max_len, r = 18, 4
     sorted_sizes: list[int] = []
     row_sorts = []
     trees = []
-    argsort, left_tree, empty = np.argsort, kernels._left_tree, np.empty
+    argsort, left_tree = np.argsort, kernels._left_tree
 
     def count_argsort(x, *args, **kwargs):
         sorted_sizes.append(len(x))
         return argsort(x, *args, **kwargs)
 
-    def keep_left_tree(*args):
-        trees.append(left_tree(*args))
+    def keep_left_tree(*args, **kwargs):
+        trees.append(left_tree(*args, **kwargs))
         return trees[-1]
 
-    def nan_empty(shape, dtype=float, *args, **kwargs):
-        out = empty(shape, dtype, *args, **kwargs)
-        if out.dtype.kind == "f":
-            out.fill(np.nan)
-        return out
-
+    kernels.scan_classes(*_prescaled(random_pair(rng)), max_len, 1e-9)  # full-size buffers
     monkeypatch.setattr(kernels, "_left_tree", keep_left_tree)
-    monkeypatch.setattr(np, "empty", nan_empty)
     for _ in range(9):
         a, b = _prescaled(random_pair(rng))
         trees.clear()
+        for buffer in vars(kernels._workspace).values():
+            buffer.fill(np.nan)
         kernels.scan_classes(a, b, max_len, 1e-9)
         (_, levels), = trees
         for k, level in enumerate(levels):
@@ -211,6 +211,86 @@ def test_deep_scan_skips_what_its_bounds_exclude(rng, monkeypatch):
         monkeypatch.setattr(np, "argsort", argsort)
         row_sorts.append(sorted_sizes[-1])  # after the sorts of 2^j prefixes
     assert np.median(row_sorts) < 0.05 * 2 ** 14
+
+
+# norm_profile takes the closed form only for the rows its Frobenius screen
+# leaves (kernels.py, "Pruning"); these pairs aim at the screen's edges.
+_X = math.sqrt(2.0 ** -537.5) * (1 + 1e-3)
+_SCREEN_CASES = {
+    # half of every level is a zero product, t = 0
+    "zero-letter": ((0, 0, 0, 0), (0.6, -0.3, 0.2, 0.5)),
+    # every product has norm 1 and t = 2: every row ties
+    "orthogonal": ((_C, -_S, _S, _C), (0, 1, -1, 0)),
+    # N = 2t exactly, no cancellation slack
+    "rank-one": ((0.5, 0.25, 1, 0.5), (0.3, -0.6, -0.15, 0.3)),
+    # N = t for a rotation, so level 1's largest norm, B's, has barely more
+    # than half the largest t, A's
+    "rank-one-beside-rotation": ((0.7 * _C, -0.7 * _S, 0.7 * _S, 0.7 * _C), (0.71, 0, 0, 0)),
+    "nilpotent": ((0, 1, 0, 0), (0.3, -0.6, 0.4, 0.25)),
+    # t(A) is just above 2^-537.5, where t^2 rounds up to 2^-1074 and A's N
+    # comes to 2.4 t; B = cI has N = t and t(B) above 2 t(A), yet A is level
+    # 1's largest norm
+    "underflowing-square": ((_X, 0, 0, 0), (1.3e-81, 0, 0, 1.3e-81)),
+}
+
+
+@pytest.mark.parametrize("name", _SCREEN_CASES)
+def test_norm_screen_bit_identical_to_frozen_reference(name):
+    a, b = _SCREEN_CASES[name]
+    for max_len in (2, 14, 16):  # a short tree, the full one, and deep words
+        _assert_matches_reference(a, b, max_len)
+
+
+def test_underflowing_square_reads_above_twice_the_frobenius_sum():
+    # the case above needs the screen's absolute term: without it, B alone
+    # would pass the screen on level 1
+    (a, b), t_a = _SCREEN_CASES["underflowing-square"], _X * _X
+    n_a, n_b = kernels._twice_sq_norms(*np.array([a, b]).T)
+    assert n_a > n_b > 2.0 * t_a * (1 + 2.0 ** -48)
+
+
+def test_threads_keep_their_own_tree_buffers(rng):
+    # three threads, more than the test hosts' cores, scan different pairs
+    # at L = 12, 18 and 15 at once, switching often, each in its own
+    # per-thread buffers, and get what they get one after the other
+    lengths = (12, 18, 15)
+    pairs = [random_pair(rng) for _ in lengths]
+    expect = [repr(brute_force(p, n)) for p, n in zip(pairs, lengths)]
+    got: list[list[str]] = [[] for _ in lengths]
+    start = threading.Barrier(len(lengths))
+
+    def scan(i):
+        start.wait(timeout=60)
+        for _ in range(20):
+            got[i].append(repr(brute_force(pairs[i], lengths[i])))
+
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(lengths))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[e] * 20 for e in expect]
+
+
+@pytest.mark.parametrize("max_len, before_mb", [(12, 0.57), (18, 2.25)])
+def test_warm_brute_force_allocates_half_of_what_fresh_buffers_did(rng, max_len, before_mb):
+    # with fresh tree buffers per call, a warm call's allocation peak was
+    # before_mb; the per-thread buffers are kept between calls
+    pair = random_pair(rng)
+    brute_force(pair, max_len)
+    tracemalloc.start()
+    try:
+        brute_force(pair, max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * before_mb * 2 ** 20
 
 
 # The kernels form each tree level with one flat GEMM where numpy's stacked
